@@ -12,9 +12,6 @@ dimensional dominance into equality of expanded tuples.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Any, NamedTuple
-
 
 def bin_fixed(value: int, width: int) -> str:
     """Binary expansion of ``value`` left-padded with zeros to ``width``.
@@ -51,35 +48,6 @@ def zero_prefixes(x: str) -> set[str]:
 def one_prefixes(x: str) -> set[str]:
     """All strings v such that v + '1' is a prefix of ``x``."""
     return set(one_prefix_list(x))
-
-
-class PrefixTuple(NamedTuple):
-    """One element of an expanded point.
-
-    Field order matters: pointwise tuple comparison of PrefixTuples is
-    exactly the order the pipeline sorts by (bitstring coordinates
-    compared lexicographically, then data before queries, then id).
-    Queries carry the aggregation unit as their weight.
-    """
-
-    bits: tuple[str, ...]
-    is_query: bool
-    id: int
-    weight: Any
-
-
-def expand(bits: tuple[str, ...], is_query: bool, point_id: int, weight: Any) -> list[PrefixTuple]:
-    """Cartesian product of per-coordinate prefix sets for one point.
-
-    Data points expand over zero-prefixes, queries over one-prefixes.
-    The enumeration order is deterministic: the product runs coordinate
-    by coordinate with prefixes ordered shortest first. The result may
-    be empty (a data point holding the top rank in some coordinate can
-    never be dominated, and drops out here).
-    """
-    pick = one_prefix_list if is_query else zero_prefix_list
-    lists = [pick(b) for b in bits]
-    return [PrefixTuple(combo, is_query, point_id, weight) for combo in product(*lists)]
 
 
 def dominance_witness(x: tuple[str, ...], y: tuple[str, ...]) -> tuple[str, ...] | None:

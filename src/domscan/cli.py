@@ -54,7 +54,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", choices=("basic", "improved"), default="basic")
     p.add_argument("--backend", choices=("seq", "par"), default="seq")
     p.add_argument("--threads", type=int, default=None, help="parallel backend width")
-    p.add_argument("--fast-path", choices=("auto", "off"), default="auto", dest="fast_path", help="broadcast shortcut when the monoid allows it")
 
 
 def build_parser() -> _Parser:
@@ -108,7 +107,6 @@ def _config(args, dims: int) -> PipelineConfig:
         dims=dims,
         monoid=MONOIDS[args.monoid],
         variant=args.variant,
-        fast_path=args.fast_path,
         backend=args.backend,
         threads=args.threads,
     )
@@ -135,7 +133,6 @@ def cmd_run(args) -> int:
             "variant": cfg.variant,
             "backend": cfg.backend,
             "monoid": cfg.monoid.name,
-            "fast_path": cfg.fast_path,
             "threads": cfg.threads,
             "phases": {
                 "load_seconds": t_load,

@@ -8,6 +8,7 @@ row per query, ascending by id, with no header.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Any
 
@@ -15,7 +16,7 @@ from .pipeline import Point, data_point, query_point
 
 
 class InputError(ValueError):
-    """Malformed input file: bad arity, unparsable number, duplicate id."""
+    """Malformed input file: bad arity, unparsable number, NaN, duplicate id."""
 
 
 def _parse_number(text: str) -> Any:
@@ -62,6 +63,8 @@ def read_points(path: str, *, queries: bool, dims: int | None = None) -> list[Po
             weight = _parse_number(cells[1 + m]) if has_weight else 1
         except ValueError as exc:
             raise InputError(f"{path}: line {lineno}: {exc}") from None
+        if any(map(math.isnan, coords)):
+            raise InputError(f"{path}: line {lineno}: NaN coordinate")
         points.append(query_point(pid, coords) if queries else data_point(pid, coords, weight))
     return points
 

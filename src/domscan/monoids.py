@@ -11,18 +11,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 
 @dataclass(frozen=True)
 class Monoid:
     """Commutative aggregation with a neutral element.
-
-    ``inflation`` describes when ``combine(a, b)`` can never fall below
-    ``a`` under the order induced by ``order_key`` (natural order when
-    None): "always", "nonneg" (holds only for nonnegative weights), or
-    None. That property is what makes the broadcast fast path of the
-    pipeline valid.
 
     ``tolerance`` is the relative error admitted when comparing two
     aggregated values; zero means exact equality. Floating-point
@@ -34,8 +28,6 @@ class Monoid:
     combine: Callable[[Any, Any], Any]
     unit: Any
     tolerance: float = 0.0
-    inflation: str | None = None
-    order_key: Callable[[Any], Any] | None = None
 
     def value_eq(self, a: Any, b: Any) -> bool:
         """Equality between two aggregation results under this monoid."""
@@ -43,19 +35,11 @@ class Monoid:
             return math.isclose(a, b, rel_tol=self.tolerance, abs_tol=0.0)
         return a == b
 
-    def fast_path_ok(self, weights: Iterable[Any]) -> bool:
-        """True when the broadcast fast path is valid for these weights."""
-        if self.inflation == "always":
-            return True
-        if self.inflation == "nonneg":
-            return all(w >= 0 for w in weights)
-        return False
 
-
-COUNT = Monoid("count", operator.add, 0, inflation="nonneg")
-SUM = Monoid("sum", operator.add, 0, inflation="nonneg")
-FLOAT_SUM = Monoid("fsum", operator.add, 0.0, tolerance=1e-9, inflation="nonneg")
-MAX = Monoid("max", max, float("-inf"), inflation="always")
-MIN = Monoid("min", min, float("inf"), inflation="always", order_key=operator.neg)
+COUNT = Monoid("count", operator.add, 0)
+SUM = Monoid("sum", operator.add, 0)
+FLOAT_SUM = Monoid("fsum", operator.add, 0.0, tolerance=1e-9)
+MAX = Monoid("max", max, float("-inf"))
+MIN = Monoid("min", min, float("inf"))
 
 MONOIDS = {m.name: m for m in (COUNT, SUM, FLOAT_SUM, MAX, MIN)}

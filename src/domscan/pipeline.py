@@ -14,12 +14,8 @@ coordinate. A run is a fixed-length chain of primitive calls:
 4. Sort the expansion; aggregate weights with a segmented scan keyed by
    the expanded tuple, so every query copy picks up the weights of the
    dominated data points that collided with it.
-5. Regroup by point id (descending sort, segmented scan) so each
-   query's partial aggregations combine into its total.
-6. Distribute the total across the id group: either a segmented
-   broadcast (fast path, valid when combining never decreases a value)
-   or a resort, shift and re-scan that keeps only each group's leading
-   total.
+5. Regroup by point id (sort, segmented scan). The scan is inclusive,
+   so the last slot of each id group holds that point's complete fold.
 
 The basic variant ranks all ``dims`` dimensions. The improved variant
 leaves the final coordinate as a raw real number and sorts it inside
@@ -36,12 +32,14 @@ order exactly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import product, repeat
 from operator import itemgetter
 from typing import Any, NamedTuple
 
+from .bits import one_prefix_list, zero_prefix_list
 from .monoids import Monoid
 from .primitives import CountingBackend, make_backend
 from .ranks import binarize, rank_dimension, width_for
@@ -49,18 +47,19 @@ from .ranks import binarize, rank_dimension, width_for
 _SEP = "\x1f"  # joined-key separator; sorts below "0" and "1"
 
 _key_of = itemgetter(0)
+_role_of = itemgetter(2)
+_id_of = itemgetter(3)
 _weight_of = itemgetter(-1)
 _value_of = itemgetter(3)
 
 # Primitive invocations per run are a function of the dimension count
-# and the chosen paths only: 11 per ranked dimension (10 for ranking,
-# 1 for binarizing) plus 23 fixed calls on the general path, 8 fewer on
-# the fast path. The documented budget is the 6m+9 instruction outline
+# only: 11 per ranked dimension (10 for ranking, 1 for binarizing) plus
+# 14 fixed calls. The documented budget is the 6m+9 instruction outline
 # plus the allowance below, which covers what that outline leaves
 # implicit (realignment of ranks to input order at 5 extra calls per
 # dimension, and column extraction and reattachment around the
 # segmented scans) for dimensions up to four.
-PLUMBING_CALLS = 34
+PLUMBING_CALLS = 25
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,6 @@ class PipelineConfig:
     dims: int
     monoid: Monoid
     variant: str = "basic"  # "basic" | "improved"
-    fast_path: str = "auto"  # "auto" | "on" | "off"
     backend: str = "seq"  # "seq" | "par"
     threads: int | None = None
 
@@ -125,11 +123,6 @@ def weights_with_unit(dq, monoid: Monoid, backend):
     """Weight of each point, with queries mapped to the monoid unit."""
     unit = monoid.unit
     return backend.map(lambda p: unit if p.is_query else p.weight, dq)
-
-
-def neutral_if_eq(prev_id, cur_id, value, unit):
-    """``value`` where the ids differ, the unit where they coincide."""
-    return unit if prev_id == cur_id else value
 
 
 def run(data, queries, cfg: PipelineConfig):
@@ -168,8 +161,6 @@ def _validate(data, queries, cfg: PipelineConfig) -> None:
         raise ValueError("dims must be at least 1")
     if cfg.backend not in ("seq", "par"):
         raise ValueError(f"unknown backend {cfg.backend!r}")
-    if cfg.fast_path not in ("auto", "on", "off"):
-        raise ValueError(f"unknown fast_path {cfg.fast_path!r}")
     for p in data:
         if p.is_query:
             raise ValueError(f"query point {p.id} passed in the data sequence")
@@ -180,28 +171,17 @@ def _validate(data, queries, cfg: PipelineConfig) -> None:
     for p in (*data, *queries):
         if len(p.coords) != cfg.dims:
             raise ValueError(f"point {p.id} has {len(p.coords)} coordinates, expected {cfg.dims}")
+        if any(map(math.isnan, p.coords)):
+            raise ValueError(f"point {p.id} has a NaN coordinate")
         if p.id in seen:
             raise ValueError(f"duplicate point id {p.id}")
         seen.add(p.id)
-
-
-def _use_fast_path(data, cfg: PipelineConfig) -> bool:
-    monoid = cfg.monoid
-    if cfg.fast_path == "off":
-        return False
-    ok = monoid.fast_path_ok(p.weight for p in data)
-    if cfg.fast_path == "on":
-        if not ok:
-            raise ValueError(f"fast path forced but invalid for monoid {monoid.name!r}")
-        return True
-    return ok
 
 
 def _run(data, queries, cfg: PipelineConfig, improved: bool):
     _validate(data, queries, cfg)
     monoid = cfg.monoid
     unit = monoid.unit
-    fast = _use_fast_path(data, cfg)
     b = CountingBackend(make_backend(cfg.backend, cfg.threads))
     phases: dict = {}
     last_mark = time.perf_counter()
@@ -241,49 +221,18 @@ def _run(data, queries, cfg: PipelineConfig, improved: bool):
         a1 = b.segmented_scan(svals, stags, monoid)
 
         # Regroup the partial aggregations by point id. Records are
-        # (id, position, role, value); the position makes the sort keys
-        # total, so both backends produce identical orders.
-        ids_col = b.map(_id_of_improved if improved else _id_of_basic, sedq)
-        role_col = b.map(_role_of_improved if improved else _role_of_basic, sedq)
-        records = b.zip(ids_col, range(len(sedq)), role_col, a1)
-        by_id_desc = b.sort(records, reverse=True)
-        values = b.map(_value_of, by_id_desc)
-        id_tags = b.map(_key_of, by_id_desc)
-        totals = b.segmented_scan(values, id_tags, monoid)
-
-        if fast:
-            # Combining never decreases a value here, so the complete
-            # aggregation is each id group's maximum; broadcast it.
-            final = b.segmented_broadcast_last(totals, id_tags, key=monoid.order_key)
-            aligned = by_id_desc
-        else:
-            # General path: re-sort ascending (which reverses each id
-            # group, moving its complete aggregation to the front), blank
-            # every other slot to the unit, and re-scan to spread the
-            # total across the group.
-            pos_col = b.map(_pos_of, by_id_desc)
-            run_roles = b.map(_role_of, by_id_desc)
-            regrouped = b.zip(id_tags, pos_col, run_roles, totals)
-            ascending = b.sort(regrouped)
-            ids = b.map(_key_of, ascending)
-            prev_ids = b.shift(ids)
-            # neutral_if_eq, inlined: keep a value only where the id run begins
-            lead_values = b.map(
-                lambda v, p, c: unit if p == c else v,
-                b.map(_value_of, ascending),
-                prev_ids,
-                ids,
-            )
-            final = b.segmented_scan(lead_values, ids, monoid)
-            aligned = ascending
+        # (id, position, is_data, value); the position makes the sort keys
+        # total, so both backends produce identical orders. The scan is
+        # inclusive, so the last slot of each id group holds the
+        # complete aggregation, and the last record per id wins below.
+        records = b.zip(b.map(_id_of, sedq), range(len(sedq)), b.map(_role_of, sedq), a1)
+        by_id = b.sort(records)
+        totals = b.segmented_scan(b.map(_value_of, by_id), b.map(_key_of, by_id), monoid)
         mark("aggregate")
 
-        # The role slot holds is_query in the basic layout and is_data in
-        # the improved one, so the query sense flips with the variant.
-        query_role = not improved
         by_query: dict[int, Any] = {}
-        for rec, value in zip(aligned, final):
-            if rec[2] == query_role:
+        for rec, value in zip(by_id, totals):
+            if not rec[2]:  # query copies carry is_data False
                 by_query[rec[0]] = value
         results = [
             QueryResult(q.id, by_query.get(q.id, unit))
@@ -298,66 +247,43 @@ def _run(data, queries, cfg: PipelineConfig, improved: bool):
         b.close()
 
 
-_id_of_basic = itemgetter(2)
-_role_of_basic = itemgetter(1)
-_id_of_improved = itemgetter(3)
-_role_of_improved = itemgetter(2)
-_pos_of = itemgetter(1)
-_role_of = itemgetter(2)
-
-
 def _expander(improved: bool):
     """Per-point expansion into sort-ready records.
 
-    Basic records are ``(key, is_query, id, weight)`` and improved
-    records ``(key, last_coord, is_data, id, weight)``; in both layouts
-    plain tuple comparison equals the pipeline's sort order (data before
-    queries on full-key ties in the basic variant, queries before data
-    in the improved one) and the trailing weight is never compared
-    because ids are unique. Prefix lists are cached per bitstring and
-    role; the cache also shares the string objects across records.
+    Records are ``(key, last, is_data, id, weight)``: ``last`` is the raw
+    final coordinate in the improved variant and the role (data
+    ``False``, queries ``True``) in the basic one, a dummy coordinate in
+    which every data point lies strictly below every query. Plain tuple
+    comparison equals the pipeline's sort order (data before queries on
+    full-key ties in the basic variant, queries before data on ties of
+    the raw coordinate in the improved one) and the trailing weight is
+    never compared because ids are unique. Prefix lists are cached per
+    bitstring and role; the cache also shares the string objects across
+    records.
     """
     cache: dict = {}
 
     def prefixes(bitstring, is_query):
         got = cache.get((bitstring, is_query))
         if got is None:
-            ch = "1" if is_query else "0"
-            got = [bitstring[:i] for i in range(len(bitstring)) if bitstring[i] == ch]
+            got = (one_prefix_list if is_query else zero_prefix_list)(bitstring)
             cache[(bitstring, is_query)] = got
         return got
 
     join = _SEP.join
 
-    if improved:
-
-        def expand_one(*args):
-            point, weight = args[-2], args[-1]
-            flag = point.is_query
-            lists = [prefixes(bs, flag) for bs in args[:-2]]
-            return list(
-                zip(
-                    map(join, product(*lists)),
-                    repeat(point.coords[-1]),
-                    repeat(not flag),
-                    repeat(point.id),
-                    repeat(weight),
-                )
+    def expand_one(*args):
+        point, weight = args[-2], args[-1]
+        flag = point.is_query
+        lists = [prefixes(bs, flag) for bs in args[:-2]]
+        return list(
+            zip(
+                map(join, product(*lists)),
+                repeat(point.coords[-1] if improved else flag),
+                repeat(not flag),
+                repeat(point.id),
+                repeat(weight),
             )
-
-    else:
-
-        def expand_one(*args):
-            point, weight = args[-2], args[-1]
-            flag = point.is_query
-            lists = [prefixes(bs, flag) for bs in args[:-2]]
-            return list(
-                zip(
-                    map(join, product(*lists)),
-                    repeat(flag),
-                    repeat(point.id),
-                    repeat(weight),
-                )
-            )
+        )
 
     return expand_one

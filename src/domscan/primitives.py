@@ -154,38 +154,6 @@ class SequentialBackend:
             emit(accumulate(map(_val_of, run), combine))
         return out
 
-    def segmented_broadcast_last(self, x, tags, key=None):
-        """Within each run of equal tags, broadcast the maximum element
-        under ``key`` (natural order when None) to every position."""
-        if len(x) != len(tags):
-            raise ValueError(f"sequences have different lengths: [{len(x)}, {len(tags)}]")
-        sizes: list[int] = []
-        tops: list = []
-        prev = _NO_TAG
-        if key is None:
-            for tag, value in zip(tags, x):
-                if tag == prev:
-                    sizes[-1] += 1
-                    if value > tops[-1]:
-                        tops[-1] = value
-                else:
-                    sizes.append(1)
-                    tops.append(value)
-                    prev = tag
-        else:
-            for tag, value in zip(tags, x):
-                if tag == prev:
-                    sizes[-1] += 1
-                    if key(value) > key(tops[-1]):
-                        tops[-1] = value
-                else:
-                    sizes.append(1)
-                    tops.append(value)
-                    prev = tag
-        out: list = []
-        for size, top in zip(sizes, tops):
-            out.extend([top] * size)
-        return out
 
 
 def _map_chunk(args):
@@ -226,15 +194,6 @@ def _exclusive_chunk(args):
 def _segscan_chunk(args):
     values, tags, backend, monoid = args
     return backend.segmented_scan(values, tags, monoid)
-
-
-def _runs_chunk(args):
-    values, tags, key = args
-    runs = []
-    for tag, run in groupby(zip(tags, values), key=_tag_of):
-        vs = [v for _, v in run]
-        runs.append((tag, len(vs), max(vs, key=key)))
-    return runs
 
 
 class ParallelBackend(SequentialBackend):
@@ -395,25 +354,6 @@ class ParallelBackend(SequentialBackend):
             out.extend(part[head:])
         return out
 
-    def segmented_broadcast_last(self, x, tags, key=None):
-        if len(x) != len(tags):
-            raise ValueError(f"sequences have different lengths: [{len(x)}, {len(tags)}]")
-        bounds = self._bounds(len(x))
-        if bounds is None:
-            return super().segmented_broadcast_last(x, tags, key=key)
-        jobs = [(x[lo:hi], tags[lo:hi], key) for lo, hi in bounds]
-        chunk_runs = self._pool_map(_runs_chunk, jobs)
-        merged: list[list] = []
-        for tag, count, top in chain.from_iterable(chunk_runs):
-            if merged and merged[-1][0] == tag:
-                merged[-1][1] += count
-                merged[-1][2] = max((merged[-1][2], top), key=key)
-            else:
-                merged.append([tag, count, top])
-        out: list = []
-        for _, count, top in merged:
-            out.extend([top] * count)
-        return out
 
 
 class CountingBackend:
@@ -467,9 +407,6 @@ class CountingBackend:
 
     def segmented_scan(self, x, tags, monoid):
         return self._tally(self.inner.segmented_scan(x, tags, monoid), (x, tags))
-
-    def segmented_broadcast_last(self, x, tags, key=None):
-        return self._tally(self.inner.segmented_broadcast_last(x, tags, key=key), (x, tags))
 
 
 def make_backend(name: str, threads: int | None = None):

@@ -22,8 +22,10 @@ def width_for(unique: int) -> int:
     return max(1, (unique - 1).bit_length())
 
 
-def _less_flag(a, b) -> int:
-    return 1 if a < b else 0
+def _less_flag(a, b, j) -> int:
+    # The first element always opens a new rank: its shifted predecessor
+    # is the max unit -inf, which a -inf coordinate does not exceed.
+    return 1 if j == 0 or a < b else 0
 
 
 def rank_dimension(dq, dim: int, backend):
@@ -45,7 +47,7 @@ def rank_dimension(dq, dim: int, backend):
     spairs = b.sort(pairs)
     coords = b.map(_coord_of, spairs)
     prev = b.shift(coords)
-    flags = b.map(_less_flag, prev, coords)
+    flags = b.map(_less_flag, prev, coords, range(len(coords)))
     sorted_ranks = b.scan(flags, SUM)
     unique = b.broadcast_max(sorted_ranks)[-1]
     restore = b.map(lambda cp, r: (cp[1], r), spairs, sorted_ranks)

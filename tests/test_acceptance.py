@@ -52,7 +52,6 @@ def _adapt_weights(data, monoid_name):
 def _matrix_block(seeds):
     failures = []
     for seed in seeds:
-        fast = "auto" if seed % 2 == 0 else "off"
         # the float monoid rides along on half the seeds; the discrete
         # monoids run the full set
         names = MONOID_NAMES if seed % 2 == 0 else MONOID_NAMES[:4]
@@ -64,8 +63,7 @@ def _matrix_block(seeds):
                 expected = brute_force(data, queries, monoid)
                 for variant, backend in product(("basic", "improved"), ("seq", "par")):
                     cfg = PipelineConfig(
-                        dims=m, monoid=monoid, variant=variant,
-                        fast_path=fast, backend=backend, threads=2,
+                        dims=m, monoid=monoid, variant=variant, backend=backend, threads=2,
                     )
                     results, _ = run(data, queries, cfg)
                     if len(results) != len(queries):
@@ -143,31 +141,29 @@ def test_expansion_bounds(capsys):
 
 
 def _count_calls(job):
-    total, m, variant, fast = job
+    total, m, variant = job
     data, queries = generate_instance(total // 2, total - total // 2, m, seed=900 + m)
-    cfg = PipelineConfig(dims=m, monoid=MONOIDS["count"], variant=variant, fast_path=fast)
+    cfg = PipelineConfig(dims=m, monoid=MONOIDS["count"], variant=variant)
     _, stats = run(data, queries, cfg)
     return job, stats.primitive_calls
 
 
 def test_operation_count_depends_only_on_dimension(capsys):
     t0 = time.time()
-    jobs = [
-        (total, m, variant, fast)
-        for total, m, variant, fast in product(
-            (2**8, 2**12), DIMS, ("basic", "improved"), ("auto", "off")
-        )
-    ]
+    jobs = list(product((2**8, 2**12), DIMS, ("basic", "improved")))
     with ProcessPoolExecutor(max_workers=WORKERS) as pool:
         counts = dict(pool.map(_count_calls, jobs))
     failures = []
-    for m, variant, fast in product(DIMS, ("basic", "improved"), ("auto", "off")):
-        small = counts[(2**8, m, variant, fast)]
-        large = counts[(2**12, m, variant, fast)]
+    for m, variant in product(DIMS, ("basic", "improved")):
+        small = counts[(2**8, m, variant)]
+        large = counts[(2**12, m, variant)]
+        ranked = m - 1 if variant == "improved" else m
         if small != large:
-            failures.append((m, variant, fast, "count varies with n", small, large))
+            failures.append((m, variant, "count varies with n", small, large))
+        if large != 11 * ranked + 14:
+            failures.append((m, variant, "count is not 11r+14", large))
         if large > 6 * m + 9 + PLUMBING_CALLS:
-            failures.append((m, variant, fast, "over budget", large))
+            failures.append((m, variant, "over budget", large))
     _report(capsys, "operation count is a function of dimension", failures, time.time() - t0)
 
 
@@ -177,15 +173,13 @@ def _determinism_block(indices):
     for i in indices:
         data_raw, queries = generate_instance(1000, 1000, 3, seed=3000 + i)
         names = [rotation[i % 4]] + (["fsum"] if i % 5 == 0 else [])
-        fast = "auto" if i % 2 == 0 else "off"
         for name in names:
             monoid = MONOIDS[name]
             data = _adapt_weights(data_raw, name)
             outs = {}
             for backend in ("seq", "par"):
                 cfg = PipelineConfig(
-                    dims=3, monoid=monoid, variant="basic",
-                    fast_path=fast, backend=backend, threads=2,
+                    dims=3, monoid=monoid, variant="basic", backend=backend, threads=2,
                 )
                 outs[backend], _ = run(data, queries, cfg)
             for a, b in zip(outs["seq"], outs["par"]):

@@ -61,11 +61,6 @@ def test_segmented_ops_match(par, xs, data):
     )
     for monoid in (SUM, MAX, MIN):
         assert par.segmented_scan(xs, tags, monoid) == seq.segmented_scan(xs, tags, monoid)
-    assert par.segmented_broadcast_last(xs, tags) == seq.segmented_broadcast_last(xs, tags)
-    neg = lambda v: -v
-    assert par.segmented_broadcast_last(xs, tags, key=neg) == seq.segmented_broadcast_last(
-        xs, tags, key=neg
-    )
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), max_size=80))
@@ -89,7 +84,6 @@ def test_segment_spanning_many_chunks(par):
     xs = list(range(1, 41))
     tags = [0] + [1] * 38 + [2]
     assert par.segmented_scan(xs, tags, SUM) == seq.segmented_scan(xs, tags, SUM)
-    assert par.segmented_broadcast_last(xs, tags) == seq.segmented_broadcast_last(xs, tags)
 
 
 def test_length_validation_matches_sequential(par):

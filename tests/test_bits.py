@@ -6,10 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from domscan.bits import (
-    PrefixTuple,
     bin_fixed,
     dominance_witness,
-    expand,
     one_prefix_list,
     one_prefixes,
     zero_prefix_list,
@@ -45,24 +43,6 @@ def test_one_prefixes():
 def test_prefix_lists_are_ordered_by_length():
     assert zero_prefix_list("01010") == ["", "01", "0101"]
     assert one_prefix_list("1101") == ["", "1", "110"]
-
-
-def test_expand_single_dimension():
-    assert expand(("01",), False, 7, 2) == [PrefixTuple(("",), False, 7, 2)]
-    assert expand(("01",), True, 8, 0) == [PrefixTuple(("0",), True, 8, 0)]
-    assert expand(("11", "11"), False, 9, 1) == []
-
-
-def test_expand_enumeration_is_deterministic():
-    out = expand(("0100", "01"), False, 1, 1)
-    assert [t.bits for t in out] == [("", ""), ("01", ""), ("010", "")]
-    assert all(t.id == 1 and t.weight == 1 and not t.is_query for t in out)
-
-
-def test_prefix_tuple_sorts_data_before_queries():
-    d = PrefixTuple(("01",), False, 5, 1)
-    q = PrefixTuple(("01",), True, 2, 0)
-    assert sorted([q, d]) == [d, q]
 
 
 def test_dominance_witness():
@@ -108,12 +88,3 @@ def test_witness_agrees_with_full_product_enumeration():
         else:
             assert full == set()
             assert witness is None
-
-
-@given(st.lists(bitstrings, min_size=1, max_size=4))
-def test_expand_size_bound(bits):
-    bound = 1
-    for s in bits:
-        bound *= len(s)
-    assert len(expand(tuple(bits), False, 0, 1)) <= bound
-    assert len(expand(tuple(bits), True, 0, 1)) <= bound

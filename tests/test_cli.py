@@ -108,6 +108,20 @@ def test_wrong_arity_row_reports_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_nan_coordinate_reports_line(tmp_path, capsys):
+    d = tmp_path / "d.csv"
+    d.write_text("id,x1,x2,weight\n0,1,2,3\n1,nan,2,3\n")
+    q = tmp_path / "q.csv"
+    q.write_text("id,x1,x2\n8,1,2\n9,3,NaN\n")
+    for variant in ("basic", "improved"):
+        assert main(["run", str(d), str(q), "--variant", variant]) == EXIT_INPUT
+        assert "line 3: NaN coordinate" in capsys.readouterr().err
+    d.write_text("id,x1,x2,weight\n0,1,2,3\n")
+    assert main(["run", str(d), str(q)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "q.csv: line 3: NaN coordinate" in err
+
+
 def test_dim_flag_mismatch(tmp_path, capsys):
     assert main(["run", *FIXTURE, "--dim", "3"]) == EXIT_INPUT
     assert "expected 3" in capsys.readouterr().err

@@ -48,14 +48,6 @@ def test_units_are_neutral_for_min_max():
     assert math.isinf(MIN.unit) and MIN.unit > 0
 
 
-def test_fast_path_eligibility():
-    assert MAX.fast_path_ok([])
-    assert MIN.fast_path_ok([-5, 3])
-    assert SUM.fast_path_ok([0, 1, 2])
-    assert not SUM.fast_path_ok([1, -1])
-    assert COUNT.fast_path_ok([1, 1])
-
-
 def test_registry_names():
     assert set(MONOIDS) == {"count", "sum", "fsum", "min", "max"}
     for name, monoid in MONOIDS.items():

@@ -11,7 +11,6 @@ from domscan.pipeline import (
     PipelineConfig,
     Point,
     data_point,
-    neutral_if_eq,
     query_point,
     run,
     run_basic,
@@ -114,12 +113,6 @@ def test_weights_with_unit():
     assert weights_with_unit([], SUM, b) == []
 
 
-def test_neutral_if_eq():
-    assert neutral_if_eq(7, 7, 42, 0) == 0
-    assert neutral_if_eq(7, 8, 42, 0) == 42
-    assert neutral_if_eq(float("-inf"), 0, 42, 0) == 42
-
-
 def test_strict_dominance_with_shared_coordinates():
     # every data point shares at least one coordinate with the query
     data = [
@@ -200,14 +193,53 @@ def test_matches_oracle_on_random_instances(variant, m):
     rng = random.Random(100 * m + (variant == "improved"))
     for trial in range(6):
         grid = trial % 2 == 0
-        data, queries = random_instance(rng, 45, 45, m, grid=grid)
+        # the last three trials carry signed weights, so sums can cancel
+        weights = (-100, 100) if trial >= 3 else (0, 100)
+        data, queries = random_instance(rng, 45, 45, m, grid=grid, weights=weights)
         for monoid in (COUNT, SUM, MAX, MIN):
             expected = brute_force(data, queries, monoid)
-            for fast in ("auto", "off"):
-                res, stats = run(data, queries, cfg(m, monoid, variant=variant, fast_path=fast))
-                assert {r.id: r.value for r in res} == expected
-                bound = (len(data) + len(queries)) * math.prod(stats.widths)
-                assert stats.expanded_count <= bound
+            res, stats = run(data, queries, cfg(m, monoid, variant=variant))
+            assert {r.id: r.value for r in res} == expected
+            bound = (len(data) + len(queries)) * math.prod(stats.widths)
+            assert stats.expanded_count <= bound
+
+
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_infinite_coordinates_match_oracle(variant):
+    inf = float("inf")
+    res, _ = run(
+        [data_point(0, (-inf, 1.0), 2)], [query_point(5, (1.0, 2.0))], cfg(2, SUM, variant=variant)
+    )
+    assert results_dict(res) == {5: 2}
+    for m in (1, 2, 3):
+        # -inf in every data slot and +inf in every query slot, one at a time
+        data = [data_point(k, tuple(-inf if j == k else 0.0 for j in range(m)), k + 1) for k in range(m)]
+        queries = [query_point(100 + k, tuple(inf if j == k else 1.0 for j in range(m))) for k in range(m)]
+        for monoid in (SUM, MAX):
+            res, _ = run(data, queries, cfg(m, monoid, variant=variant))
+            assert results_dict(res) == brute_force(data, queries, monoid)
+    rng = random.Random(29)
+    values = (-inf, 0.0, 0.5, 1.0, inf)
+    for trial in range(30):
+        m = 1 + trial % 3
+        draw = lambda: tuple(rng.choice(values) for _ in range(m))
+        data = [data_point(i, draw(), rng.randint(-9, 9)) for i in range(10)]
+        queries = [query_point(100 + i, draw()) for i in range(10)]
+        for monoid in (COUNT, SUM, MIN):
+            res, _ = run(data, queries, cfg(m, monoid, variant=variant))
+            assert results_dict(res) == brute_force(data, queries, monoid)
+
+
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_nan_coordinate_is_rejected(variant):
+    nan = float("nan")
+    data, queries = fixture_2d()
+    for slot in (0, 1):
+        bad = tuple(nan if j == slot else 1.0 for j in range(2))
+        with pytest.raises(ValueError, match="point 7 has a NaN coordinate"):
+            run(data + [data_point(7, bad)], queries, cfg(2, variant=variant))
+        with pytest.raises(ValueError, match="point 7 has a NaN coordinate"):
+            run(data, queries + [query_point(7, bad)], cfg(2, variant=variant))
 
 
 def test_float_sum_matches_oracle_within_tolerance():
@@ -221,15 +253,12 @@ def test_float_sum_matches_oracle_within_tolerance():
             assert FLOAT_SUM.value_eq(r.value, expected[r.id])
 
 
-def test_fast_path_requires_qualifying_monoid_and_weights():
+def test_negative_weight_reaches_sum_and_min():
     data = [data_point(0, (1.0,), -5)]
     queries = [query_point(1, (2.0,))]
-    with pytest.raises(ValueError, match="fast path"):
-        run_basic(data, queries, cfg(1, SUM, fast_path="on"))
-    res, _ = run_basic(data, queries, cfg(1, SUM, fast_path="auto"))
-    assert results_dict(res) == {1: -5}  # auto falls back to the general path
-    res, _ = run_basic(data, queries, cfg(1, MIN, fast_path="on"))
-    assert results_dict(res) == {1: -5}
+    for monoid in (SUM, MIN):
+        res, _ = run_basic(data, queries, cfg(1, monoid))
+        assert results_dict(res) == {1: -5}
 
 
 def test_validation_errors():
@@ -246,25 +275,21 @@ def test_validation_errors():
         run_basic([], [data_point(0, (1, 1))], cfg(2))
     with pytest.raises(ValueError, match="backend"):
         run_basic(data, queries, cfg(2, backend="gpu"))
-    with pytest.raises(ValueError, match="fast_path"):
-        run_basic(data, queries, cfg(2, fast_path="sometimes"))
 
 
 def test_stats_shape_and_call_counts():
     data, queries = fixture_2d()
-    res, stats = run_basic(data, queries, cfg(2, fast_path="off"))
+    res, stats = run_basic(data, queries, cfg(2))
     assert stats.widths and all(w >= 1 for w in stats.widths)
     assert len(stats.widths) == 2
     assert stats.expanded_count > 0
     assert stats.elements_processed > stats.expanded_count
-    assert stats.primitive_calls == 11 * 2 + 23
-    _, stats_fast = run_basic(data, queries, cfg(2, fast_path="auto"))
-    assert stats_fast.primitive_calls == 11 * 2 + 15
-    _, stats_improved = run_improved(data, queries, cfg(2, variant="improved", fast_path="off"))
-    assert stats_improved.primitive_calls == 11 * 2 + 12
+    assert stats.primitive_calls == 11 * 2 + 14
+    _, stats_improved = run_improved(data, queries, cfg(2, variant="improved"))
+    assert stats_improved.primitive_calls == 11 * 1 + 14
     assert len(stats_improved.widths) == 1
     for m in (1, 2, 3, 4):
-        assert 11 * m + 23 <= 6 * m + 9 + PLUMBING_CALLS
+        assert 11 * m + 14 <= 6 * m + 9 + PLUMBING_CALLS
 
 
 def test_results_are_ascending_by_query_id():

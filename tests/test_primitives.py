@@ -94,16 +94,6 @@ def test_segmented_scan():
         b.segmented_scan([1, 2], [0], SUM)
 
 
-def test_segmented_broadcast_last():
-    assert b.segmented_broadcast_last([1, 5, 2, 7], [0, 0, 1, 1]) == [5, 5, 7, 7]
-    xs = [3, 9, 4]
-    assert b.segmented_broadcast_last(xs, [0, 0, 0]) == b.broadcast_max(xs)
-    assert b.segmented_broadcast_last(xs, [0, 1, 2]) == xs
-    assert b.segmented_broadcast_last([2, 1], [0, 0], key=lambda v: -v) == [1, 1]
-    with pytest.raises(ValueError, match="lengths"):
-        b.segmented_broadcast_last([1], [0, 0])
-
-
 def test_concat():
     assert b.concat([1], [2, 3]) == [1, 2, 3]
     assert b.concat([], [4]) == [4]

@@ -28,6 +28,12 @@ def test_rank_dimension_all_equal():
     assert rank_dimension(points([1.0, 1.0, 1.0]), 0, b) == ([1, 1, 1], 1)
 
 
+def test_rank_dimension_infinite_values():
+    inf = float("inf")
+    assert rank_dimension(points([-inf, 0.0, -inf, inf]), 0, b) == ([1, 2, 1, 3], 3)
+    assert rank_dimension(points([-inf]), 0, b) == ([1], 1)
+
+
 def test_rank_dimension_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
         rank_dimension([], 0, b)
