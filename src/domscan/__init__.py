@@ -1,6 +1,6 @@
 """domscan: sequence primitives and dominance aggregation built on them.
 
-The :mod:`domscan.primitives` backends provide sort, map, flatmap, zip,
+The :mod:`domscan.primitives` backend provides sort, map, flatmap, zip,
 prefix scans and segmented scans over immutable ordered sequences; the
 :mod:`domscan.pipeline` module composes exactly those operations into
 aggregation over dominated points in any fixed dimension, checked
@@ -22,7 +22,6 @@ from .pipeline import (
 )
 from .primitives import (
     CountingBackend,
-    ParallelBackend,
     SequentialBackend,
     make_backend,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "SUM",
     "Monoid",
     "CountingBackend",
-    "ParallelBackend",
     "SequentialBackend",
     "make_backend",
     "ExpansionStats",

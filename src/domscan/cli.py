@@ -21,14 +21,13 @@ import time
 from .datafiles import (
     InputError,
     check_unique_ids,
-    format_value,
     generate_instance,
     read_points,
     result_lines,
     write_instance,
     write_results,
 )
-from .monoids import MONOIDS
+from .monoids import FLOAT_SUM, MONOIDS
 from .oracle import brute_force
 from .pipeline import PipelineConfig, run
 
@@ -52,8 +51,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, default=None, help="expected coordinate count (checked against the headers)")
     p.add_argument("--monoid", choices=CLI_MONOIDS, default="count", help="aggregation (count ignores the weight column)")
     p.add_argument("--variant", choices=("basic", "improved"), default="basic")
-    p.add_argument("--backend", choices=("seq", "par"), default="seq")
-    p.add_argument("--threads", type=int, default=None, help="parallel backend width")
 
 
 def build_parser() -> _Parser:
@@ -102,14 +99,13 @@ def _load(args):
     return data, queries
 
 
-def _config(args, dims: int) -> PipelineConfig:
-    return PipelineConfig(
-        dims=dims,
-        monoid=MONOIDS[args.monoid],
-        variant=args.variant,
-        backend=args.backend,
-        threads=args.threads,
-    )
+def _config(args, data, dims: int) -> PipelineConfig:
+    monoid = MONOIDS[args.monoid]
+    # Float addition depends on the order of the terms, so float weights
+    # are summed under the float monoid, which compares within a tolerance.
+    if args.monoid == "sum" and any(isinstance(p.weight, float) for p in data):
+        monoid = FLOAT_SUM
+    return PipelineConfig(dims=dims, monoid=monoid, variant=args.variant)
 
 
 def cmd_run(args) -> int:
@@ -121,7 +117,7 @@ def cmd_run(args) -> int:
         return EXIT_INPUT
     dims = len(data[0].coords) if data else (len(queries[0].coords) if queries else args.dim or 1)
     t_load = time.perf_counter() - t0
-    cfg = _config(args, dims)
+    cfg = _config(args, data, dims)
     t1 = time.perf_counter()
     results, stats = run(data, queries, cfg)
     t_compute = time.perf_counter() - t1
@@ -131,9 +127,7 @@ def cmd_run(args) -> int:
     if args.stats:
         report = {
             "variant": cfg.variant,
-            "backend": cfg.backend,
             "monoid": cfg.monoid.name,
-            "threads": cfg.threads,
             "phases": {
                 "load_seconds": t_load,
                 "compute_seconds": t_compute,
@@ -163,12 +157,17 @@ def cmd_verify(args) -> int:
         print(f"domscan: {exc}", file=sys.stderr)
         return EXIT_INPUT
     dims = len(data[0].coords) if data else (len(queries[0].coords) if queries else args.dim or 1)
-    cfg = _config(args, dims)
+    cfg = _config(args, data, dims)
+    monoid = cfg.monoid
     results, _ = run(data, queries, cfg)
-    expected = brute_force(data, queries, cfg.monoid)
+    expected = brute_force(data, queries, monoid)
+    rule = f"within tolerance {monoid.tolerance!r}" if monoid.tolerance else "exactly"
     for r in results:
-        if not cfg.monoid.value_eq(r.value, expected[r.id]):
-            print(f"mismatch at query {r.id}: pipeline {format_value(r.value)}, reference {format_value(expected[r.id])}")
+        if not monoid.value_eq(r.value, expected[r.id]):
+            print(
+                f"mismatch at query {r.id}: pipeline {r.value!r}, reference {expected[r.id]!r}"
+                f" ({monoid.name}, compared {rule})"
+            )
             return EXIT_MISMATCH
     if args.expected is not None:
         try:
@@ -200,7 +199,6 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     dims = args.dim or 2
-    monoid = MONOIDS[args.monoid]
     print(f"{'n_data':>8} {'n_query':>8} {'expanded':>10} {'elements':>12} {'calls':>6} {'seconds':>9}")
     for round_no in range(args.rounds):
         total = args.n0 << round_no
@@ -208,7 +206,7 @@ def cmd_bench(args) -> int:
         data, queries = generate_instance(half, total - half, dims, args.seed + round_no)
         if args.monoid == "count":
             data = [p.__class__(p.id, p.coords, 1, False) for p in data]
-        cfg = _config(args, dims)
+        cfg = _config(args, data, dims)
         t0 = time.perf_counter()
         _, stats = run(data, queries, cfg)
         elapsed = time.perf_counter() - t0

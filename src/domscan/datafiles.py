@@ -16,7 +16,8 @@ from .pipeline import Point, data_point, query_point
 
 
 class InputError(ValueError):
-    """Malformed input file: bad arity, unparsable number, NaN, duplicate id."""
+    """Unreadable or malformed input file: missing file, bad arity,
+    unparsable number, NaN, duplicate id."""
 
 
 def _parse_number(text: str) -> Any:
@@ -32,12 +33,15 @@ def read_points(path: str, *, queries: bool, dims: int | None = None) -> list[Po
     ``dims``, when given, is cross-checked against the header. Errors
     report the offending physical line number (the header is line 1).
     """
-    with open(path, newline="") as fh:
-        numbered = [
-            (lineno, line.rstrip("\n"))
-            for lineno, line in enumerate(fh, start=1)
-            if line.strip()
-        ]
+    try:
+        with open(path, newline="") as fh:
+            numbered = [
+                (lineno, line.rstrip("\n"))
+                for lineno, line in enumerate(fh, start=1)
+                if line.strip()
+            ]
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
     if not numbered:
         raise InputError(f"{path}: missing header row")
     header = [c.strip() for c in numbered[0][1].split(",")]

@@ -19,9 +19,11 @@ class Monoid:
     """Commutative aggregation with a neutral element.
 
     ``tolerance`` is the relative error admitted when comparing two
-    aggregated values; zero means exact equality. Floating-point
-    addition is only approximately associative, so the float-sum monoid
-    carries a nonzero tolerance.
+    aggregated values, and also the absolute difference admitted, so
+    that sums cancelling to rounding noise around zero compare equal;
+    zero means exact equality. Floating-point addition is only
+    approximately associative, so the float-sum monoid carries a
+    nonzero tolerance.
     """
 
     name: str
@@ -32,7 +34,7 @@ class Monoid:
     def value_eq(self, a: Any, b: Any) -> bool:
         """Equality between two aggregation results under this monoid."""
         if self.tolerance:
-            return math.isclose(a, b, rel_tol=self.tolerance, abs_tol=0.0)
+            return math.isclose(a, b, rel_tol=self.tolerance, abs_tol=self.tolerance)
         return a == b
 
 

@@ -115,8 +115,6 @@ class PipelineConfig:
     dims: int
     monoid: Monoid
     variant: str = "basic"  # "basic" | "improved"
-    backend: str = "seq"  # "seq" | "par"
-    threads: int | None = None
 
 
 def weights_with_unit(dq, monoid: Monoid, backend):
@@ -159,8 +157,6 @@ def run_improved(data, queries, cfg: PipelineConfig):
 def _validate(data, queries, cfg: PipelineConfig) -> None:
     if cfg.dims < 1:
         raise ValueError("dims must be at least 1")
-    if cfg.backend not in ("seq", "par"):
-        raise ValueError(f"unknown backend {cfg.backend!r}")
     for p in data:
         if p.is_query:
             raise ValueError(f"query point {p.id} passed in the data sequence")
@@ -182,7 +178,7 @@ def _run(data, queries, cfg: PipelineConfig, improved: bool):
     _validate(data, queries, cfg)
     monoid = cfg.monoid
     unit = monoid.unit
-    b = CountingBackend(make_backend(cfg.backend, cfg.threads))
+    b = CountingBackend(make_backend())
     phases: dict = {}
     last_mark = time.perf_counter()
 
@@ -192,59 +188,56 @@ def _run(data, queries, cfg: PipelineConfig, improved: bool):
         phases[name] = phases.get(name, 0.0) + (now - last_mark)
         last_mark = now
 
-    try:
-        dq = b.concat(data, queries)
-        if not dq:
-            return [], ExpansionStats(0, 0, 0, (), b.elements, b.calls, phases)
+    dq = b.concat(data, queries)
+    if not dq:
+        return [], ExpansionStats(0, 0, 0, (), b.elements, b.calls, phases)
 
-        ranked = cfg.dims - 1 if improved else cfg.dims
-        columns = []
-        widths = []
-        for dim in range(ranked):
-            ranks, unique = rank_dimension(dq, dim, b)
-            columns.append(binarize(ranks, unique, b))
-            widths.append(width_for(unique))
-        mark("rank")
+    ranked = cfg.dims - 1 if improved else cfg.dims
+    columns = []
+    widths = []
+    for dim in range(ranked):
+        ranks, unique = rank_dimension(dq, dim, b)
+        columns.append(binarize(ranks, unique, b))
+        widths.append(width_for(unique))
+    mark("rank")
 
-        wts = weights_with_unit(dq, monoid, b)
-        expand_one = _expander(improved)
-        edq = b.flatmap(expand_one, *columns, dq, wts)
-        mark("expand")
+    wts = weights_with_unit(dq, monoid, b)
+    expand_one = _expander(improved)
+    edq = b.flatmap(expand_one, *columns, dq, wts)
+    mark("expand")
 
-        sedq = b.sort(edq)
-        mark("sort")
+    sedq = b.sort(edq)
+    mark("sort")
 
-        # One segmented scan keyed by the expanded tuple: every query
-        # copy absorbs the weights of the data copies it collided with.
-        svals = b.map(_weight_of, sedq)
-        stags = b.map(_key_of, sedq)
-        a1 = b.segmented_scan(svals, stags, monoid)
+    # One segmented scan keyed by the expanded tuple: every query
+    # copy absorbs the weights of the data copies it collided with.
+    svals = b.map(_weight_of, sedq)
+    stags = b.map(_key_of, sedq)
+    a1 = b.segmented_scan(svals, stags, monoid)
 
-        # Regroup the partial aggregations by point id. Records are
-        # (id, position, is_data, value); the position makes the sort keys
-        # total, so both backends produce identical orders. The scan is
-        # inclusive, so the last slot of each id group holds the
-        # complete aggregation, and the last record per id wins below.
-        records = b.zip(b.map(_id_of, sedq), range(len(sedq)), b.map(_role_of, sedq), a1)
-        by_id = b.sort(records)
-        totals = b.segmented_scan(b.map(_value_of, by_id), b.map(_key_of, by_id), monoid)
-        mark("aggregate")
+    # Regroup the partial aggregations by point id. Records are
+    # (id, position, is_data, value); the position makes the sort keys
+    # total, so results are independent of input order. The scan is
+    # inclusive, so the last slot of each id group holds the
+    # complete aggregation, and the last record per id wins below.
+    records = b.zip(b.map(_id_of, sedq), range(len(sedq)), b.map(_role_of, sedq), a1)
+    by_id = b.sort(records)
+    totals = b.segmented_scan(b.map(_value_of, by_id), b.map(_key_of, by_id), monoid)
+    mark("aggregate")
 
-        by_query: dict[int, Any] = {}
-        for rec, value in zip(by_id, totals):
-            if not rec[2]:  # query copies carry is_data False
-                by_query[rec[0]] = value
-        results = [
-            QueryResult(q.id, by_query.get(q.id, unit))
-            for q in sorted(queries, key=lambda p: p.id)
-        ]
-        mark("project")
-        stats = ExpansionStats(
-            len(data), len(queries), len(edq), tuple(widths), b.elements, b.calls, phases
-        )
-        return results, stats
-    finally:
-        b.close()
+    by_query: dict[int, Any] = {}
+    for rec, value in zip(by_id, totals):
+        if not rec[2]:  # query copies carry is_data False
+            by_query[rec[0]] = value
+    results = [
+        QueryResult(q.id, by_query.get(q.id, unit))
+        for q in sorted(queries, key=lambda p: p.id)
+    ]
+    mark("project")
+    stats = ExpansionStats(
+        len(data), len(queries), len(edq), tuple(widths), b.elements, b.calls, phases
+    )
+    return results, stats
 
 
 def _expander(improved: bool):

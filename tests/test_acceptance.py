@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 The two heavy suites (the 100-seed equivalence matrix and the
-backend-determinism sweep) fan out over a small process pool; all seeds
+input-order determinism sweep) fan out over a small process pool; all seeds
 are fixed, so every run is deterministic.
 """
 
@@ -44,7 +44,8 @@ def _adapt_weights(data, monoid_name):
     if monoid_name == "count":
         return [Point(p.id, p.coords, 1, False) for p in data]
     if monoid_name == "fsum":
-        # non-dyadic weights so parallel regrouping really rounds
+        # non-dyadic weights, so a change in summation order would round
+        # differently
         return [Point(p.id, p.coords, p.weight + 1 / 3, False) for p in data]
     return data
 
@@ -61,17 +62,15 @@ def _matrix_block(seeds):
                 monoid = MONOIDS[name]
                 data = _adapt_weights(data_raw, name)
                 expected = brute_force(data, queries, monoid)
-                for variant, backend in product(("basic", "improved"), ("seq", "par")):
-                    cfg = PipelineConfig(
-                        dims=m, monoid=monoid, variant=variant, backend=backend, threads=2,
-                    )
+                for variant in ("basic", "improved"):
+                    cfg = PipelineConfig(dims=m, monoid=monoid, variant=variant)
                     results, _ = run(data, queries, cfg)
                     if len(results) != len(queries):
-                        failures.append((seed, m, name, variant, backend, "missing results"))
+                        failures.append((seed, m, name, variant, "missing results"))
                         continue
                     for r in results:
                         if not monoid.value_eq(r.value, expected[r.id]):
-                            failures.append((seed, m, name, variant, backend, r.id))
+                            failures.append((seed, m, name, variant, r.id))
     return failures
 
 
@@ -176,25 +175,30 @@ def _determinism_block(indices):
         for name in names:
             monoid = MONOIDS[name]
             data = _adapt_weights(data_raw, name)
-            outs = {}
-            for backend in ("seq", "par"):
-                cfg = PipelineConfig(
-                    dims=3, monoid=monoid, variant="basic", backend=backend, threads=2,
-                )
-                outs[backend], _ = run(data, queries, cfg)
-            for a, b in zip(outs["seq"], outs["par"]):
-                exact = a.value == b.value if name != "fsum" else monoid.value_eq(a.value, b.value)
-                if a.id != b.id or not exact:
-                    failures.append((i, name, a, b))
+            shuffled_data, shuffled_queries = data[:], queries[:]
+            rng = random.Random(i)
+            rng.shuffle(shuffled_data)
+            rng.shuffle(shuffled_queries)
+            for variant in ("basic", "improved"):
+                cfg = PipelineConfig(dims=3, monoid=monoid, variant=variant)
+                outs = [
+                    # repr is exact for floats and tells -0.0 from 0.0 and
+                    # 0 from 0.0, so equal lists mean bitwise-equal results
+                    [(r.id, repr(r.value)) for r in run(d, q, cfg)[0]]
+                    for d, q in ((data, queries), (shuffled_data, shuffled_queries))
+                ]
+                if outs[0] != outs[1]:
+                    diff = next(((a, b) for a, b in zip(*outs) if a != b), "lengths differ")
+                    failures.append((i, name, variant, diff))
     return failures
 
 
-def test_backend_determinism(capsys):
+def test_input_order_determinism(capsys):
     t0 = time.time()
     blocks = [range(i, 50, 6) for i in range(6)]
     with ProcessPoolExecutor(max_workers=WORKERS) as pool:
         failures = list(chain.from_iterable(pool.map(_determinism_block, blocks)))
-    _report(capsys, "backend determinism", failures, time.time() - t0)
+    _report(capsys, "input-order determinism", failures, time.time() - t0)
 
 
 def test_degenerate_and_tie_suites(capsys):
@@ -218,12 +222,12 @@ def test_degenerate_and_tie_suites(capsys):
         for name in ("count", "sum"):
             monoid = MONOIDS[name]
             expected = brute_force(data, queries, monoid)
-            for variant, backend in product(("basic", "improved"), ("seq", "par")):
-                cfg = PipelineConfig(dims=2, monoid=monoid, variant=variant, backend=backend)
+            for variant in ("basic", "improved"):
+                cfg = PipelineConfig(dims=2, monoid=monoid, variant=variant)
                 results, _ = run(data, queries, cfg)
                 got = {r.id: r.value for r in results}
                 if got != expected:
-                    failures.append((label, name, variant, backend, got, expected))
+                    failures.append((label, name, variant, got, expected))
     _report(capsys, "degenerate and tie suites", failures)
 
 

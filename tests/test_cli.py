@@ -1,9 +1,13 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+import domscan.cli
 from domscan.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from domscan.datafiles import read_points
+from domscan.monoids import FLOAT_SUM
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE = [str(DATA_DIR / "dom2d_data.csv"), str(DATA_DIR / "dom2d_queries.csv")]
@@ -44,7 +48,7 @@ def test_run_stats_report(tmp_path):
     assert report["stats"]["data_count"] == 3
     assert report["stats"]["expanded_count"] >= 3
     assert report["stats"]["widths"] == [2, 2]
-    assert report["variant"] == "basic" and report["backend"] == "seq"
+    assert report["variant"] == "basic" and report["monoid"] == "count"
     assert set(report["phases"]) >= {"load_seconds", "compute_seconds", "write_seconds"}
 
 
@@ -97,6 +101,60 @@ def test_verify_random_sweep(tmp_path):
                      "--data", str(d), "--queries", str(q)]) == EXIT_OK
         code = main(["verify", str(d), str(q), "--variant", variant, "--monoid", monoid])
         assert code == EXIT_OK, (seed, m, variant, monoid)
+
+
+def _float_weight_instance(tmp_path):
+    rng = random.Random(5)
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    d.write_text("id,x1,x2,weight\n" + "".join(
+        f"{i},{rng.random()!r},{rng.random()!r},{rng.random() * 100!r}\n" for i in range(300)
+    ))
+    q.write_text("id,x1,x2\n" + "".join(
+        f"{1000 + i},{rng.random()!r},{rng.random()!r}\n" for i in range(300)
+    ))
+    return str(d), str(q)
+
+
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_verify_sum_of_float_weights(tmp_path, capsys, variant):
+    files = _float_weight_instance(tmp_path)
+    assert main(["verify", *files, "--monoid", "sum", "--variant", variant]) == EXIT_OK
+    assert "verified 300 queries" in capsys.readouterr().out
+
+
+def test_run_sum_of_float_weights_prints_unit_as_zero(tmp_path, capsys):
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    d.write_text("id,x1,weight\n0,1,2.5\n1,2,1\n")
+    q.write_text("id,x1\n5,0\n6,3\n")
+    assert main(["run", str(d), str(q), "--monoid", "sum"]) == EXIT_OK
+    assert capsys.readouterr().out == "5,0\n6,3.5\n"
+
+
+def test_verify_mismatch_reports_exact_values_and_tolerance(tmp_path, capsys, monkeypatch):
+    brute_force = domscan.cli.brute_force
+    monkeypatch.setattr(
+        domscan.cli,
+        "brute_force",
+        lambda *args: {k: v + 1e-3 for k, v in brute_force(*args).items()},
+    )
+    d, q = _float_weight_instance(tmp_path)
+    assert main(["verify", d, q, "--monoid", "sum"]) == EXIT_MISMATCH
+    data, queries = read_points(d, queries=False), read_points(q, queries=True)
+    want = brute_force(data, queries, FLOAT_SUM)[1000] + 1e-3
+    out = capsys.readouterr().out
+    assert out.startswith("mismatch at query 1000: pipeline ")
+    assert out.endswith(f", reference {want!r} (fsum, compared within tolerance 1e-09)\n")
+    assert main(["verify", *FIXTURE, "--monoid", "sum"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out == "mismatch at query 3: pipeline 1, reference 1.001 (sum, compared exactly)\n"
+
+
+def test_missing_or_unreadable_input_file(tmp_path, capsys):
+    missing = tmp_path / "nonexist.csv"
+    assert main(["run", str(missing), FIXTURE[1]]) == EXIT_INPUT
+    assert f"{missing}: cannot read" in capsys.readouterr().err
+    # a directory where a query file belongs
+    assert main(["verify", FIXTURE[0], str(tmp_path)]) == EXIT_INPUT
+    assert f"{tmp_path}: cannot read" in capsys.readouterr().err
 
 
 def test_wrong_arity_row_reports_line(tmp_path, capsys):
@@ -162,12 +220,6 @@ def test_empty_query_file_gives_empty_output(tmp_path, capsys):
     q.write_text("id,x1,x2\n")
     assert main(["run", str(FIXTURE[0]), str(q)]) == EXIT_OK
     assert capsys.readouterr().out == ""
-
-
-def test_parallel_backend_through_cli(tmp_path):
-    out = tmp_path / "out.csv"
-    assert main(["run", *FIXTURE, "--backend", "par", "--threads", "2", "--output", str(out)]) == EXIT_OK
-    assert out.read_bytes() == EXPECTED
 
 
 def test_min_monoid_prints_inf_literal(tmp_path, capsys):

@@ -39,6 +39,9 @@ def test_value_eq_tolerance_for_float_sum():
     assert FLOAT_SUM.value_eq(1.0, 1.0 + 1e-12)
     assert not FLOAT_SUM.value_eq(1.0, 1.0 + 1e-6)
     assert FLOAT_SUM.value_eq(0.0, 0.0)
+    # rounding noise of a sum that cancels to zero
+    assert FLOAT_SUM.value_eq(-1.42e-14, -9.33e-15)
+    assert not FLOAT_SUM.value_eq(0.0, 1e-6)
 
 
 def test_units_are_neutral_for_min_max():
