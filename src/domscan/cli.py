@@ -7,8 +7,10 @@ Subcommands:
   gen     write a deterministic pseudo-random instance to two files
   bench   repeat a run over doubling sizes and print a measurement table
 
-Exit codes: 0 success, 1 verification mismatch, 2 input error, 3 usage
-error.
+Exit codes: 0 success, 1 verification mismatch, 2 input error (bad
+input data, or a file that cannot be read or written), 3 usage error,
+4 internal error (a failure inside domscan itself, not caused by the
+input).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .datafiles import (
     result_lines,
     write_instance,
     write_results,
+    writing,
 )
 from .monoids import FLOAT_SUM, MONOIDS
 from .oracle import brute_force
@@ -35,6 +38,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 CLI_MONOIDS = ("count", "sum", "min", "max")
 
@@ -128,6 +132,7 @@ def cmd_run(args) -> int:
         report = {
             "variant": cfg.variant,
             "monoid": cfg.monoid.name,
+            "backend": stats.backend,
             "phases": {
                 "load_seconds": t_load,
                 "compute_seconds": t_compute,
@@ -144,7 +149,7 @@ def cmd_run(args) -> int:
             },
             "results_written": len(results),
         }
-        with open(args.stats, "w") as fh:
+        with writing(args.stats) as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     return EXIT_OK
@@ -199,7 +204,10 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     dims = args.dim or 2
-    print(f"{'n_data':>8} {'n_query':>8} {'expanded':>10} {'elements':>12} {'calls':>6} {'seconds':>9}")
+    print(
+        f"{'n_data':>8} {'n_query':>8} {'expanded':>10} {'elements':>12} {'calls':>6}"
+        f" {'seconds':>9} {'backend':>8}"
+    )
     for round_no in range(args.rounds):
         total = args.n0 << round_no
         half = total // 2
@@ -213,6 +221,7 @@ def cmd_bench(args) -> int:
         print(
             f"{stats.data_count:>8} {stats.query_count:>8} {stats.expanded_count:>10}"
             f" {stats.elements_processed:>12} {stats.primitive_calls:>6} {elapsed:>9.3f}"
+            f" {stats.backend:>8}"
         )
     return EXIT_OK
 
@@ -230,9 +239,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"domscan: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"domscan: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception as exc:  # anything else is a fault of domscan, not of its input
+        print(f"domscan: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

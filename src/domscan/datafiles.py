@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from contextlib import contextmanager
 from typing import Any
 
-from .pipeline import Point, data_point, query_point
-
-
-class InputError(ValueError):
-    """Unreadable or malformed input file: missing file, bad arity,
-    unparsable number, NaN, duplicate id."""
+from .pipeline import InputError, Point, data_point, query_point
 
 
 def _parse_number(text: str) -> Any:
@@ -100,14 +97,23 @@ def result_lines(results) -> list[str]:
     return [f"{r.id},{format_value(r.value)}" for r in results]
 
 
+@contextmanager
+def writing(path: str):
+    """``open(path, "w")``, turning a failure to write into an
+    :class:`InputError` that names the path."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write: {exc.strerror or exc}") from None
+
+
 def write_results(path: str | None, results) -> None:
     text = "".join(line + "\n" for line in result_lines(results))
     if path is None:
-        import sys
-
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with writing(path) as fh:
             fh.write(text)
 
 
@@ -145,11 +151,11 @@ def generate_instance(
 
 def write_instance(data_path: str, query_path: str, data, queries, dims: int) -> None:
     coord_names = [f"x{i+1}" for i in range(dims)]
-    with open(data_path, "w") as fh:
+    with writing(data_path) as fh:
         fh.write(",".join(["id", *coord_names, "weight"]) + "\n")
         for p in data:
             fh.write(f"{p.id}," + ",".join(repr(c) for c in p.coords) + f",{p.weight}\n")
-    with open(query_path, "w") as fh:
+    with writing(query_path) as fh:
         fh.write(",".join(["id", *coord_names]) + "\n")
         for q in queries:
             fh.write(f"{q.id}," + ",".join(repr(c) for c in q.coords) + "\n")

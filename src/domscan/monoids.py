@@ -24,12 +24,17 @@ class Monoid:
     zero means exact equality. Floating-point addition is only
     approximately associative, so the float-sum monoid carries a
     nonzero tolerance.
+
+    ``ufunc`` names the numpy ufunc whose ``accumulate`` computes the
+    same scan exactly on integer columns; monoids without one run only
+    on the sequential backend.
     """
 
     name: str
     combine: Callable[[Any, Any], Any]
     unit: Any
     tolerance: float = 0.0
+    ufunc: str | None = None
 
     def value_eq(self, a: Any, b: Any) -> bool:
         """Equality between two aggregation results under this monoid."""
@@ -38,10 +43,11 @@ class Monoid:
         return a == b
 
 
-COUNT = Monoid("count", operator.add, 0)
-SUM = Monoid("sum", operator.add, 0)
+COUNT = Monoid("count", operator.add, 0, ufunc="add")
+SUM = Monoid("sum", operator.add, 0, ufunc="add")
+# No ufunc: a vector float sum adds in a different order than the sequential fold.
 FLOAT_SUM = Monoid("fsum", operator.add, 0.0, tolerance=1e-9)
-MAX = Monoid("max", max, float("-inf"))
-MIN = Monoid("min", min, float("inf"))
+MAX = Monoid("max", max, float("-inf"), ufunc="maximum")
+MIN = Monoid("min", min, float("inf"), ufunc="minimum")
 
 MONOIDS = {m.name: m for m in (COUNT, SUM, FLOAT_SUM, MAX, MIN)}

@@ -4,30 +4,38 @@ For every query point q the pipeline computes the monoid fold of the
 weights of all data points that are strictly below q in every
 coordinate. A run is a fixed-length chain of primitive calls:
 
-1. Concatenate data and queries into one sequence.
-2. Per ranked dimension: move coordinates to rank space and encode the
-   ranks as fixed-width bitstrings (``ranks``).
+1. Concatenate data and queries into one sequence and sort it into the
+   tie order: the order records with equal expanded keys must keep.
+2. Per ranked dimension: move coordinates to rank space (``ranks``).
 3. Expand every point into the product of its per-coordinate prefix
-   sets (``bits``): data points over zero-prefixes, queries over
-   one-prefixes. A data point and a query produce the same expanded
-   tuple exactly once if and only if the data point is dominated.
-4. Sort the expansion; aggregate weights with a segmented scan keyed by
-   the expanded tuple, so every query copy picks up the weights of the
+   code lists (``bits``): data points over zero-prefixes, queries over
+   one-prefixes. A data point and a query produce the same expanded key
+   exactly once if and only if the data point is dominated.
+4. Sort the expansion by key; aggregate weights with a segmented scan
+   keyed by it, so every query copy picks up the weights of the
    dominated data points that collided with it.
 5. Regroup by point id (sort, segmented scan). The scan is inclusive,
-   so the last slot of each id group holds that point's complete fold.
+   so the last copy of each query holds that query's complete fold.
 
 The basic variant ranks all ``dims`` dimensions. The improved variant
-leaves the final coordinate as a raw real number and sorts it inside
-each prefix segment, which shrinks the expansion by roughly the final
-dimension's bit width; ties there order queries first so equal
+leaves the final coordinate as a raw real number and orders records by
+it inside each key segment, which shrinks the expansion by roughly the
+final dimension's bit width; ties there order queries first so equal
 coordinates stay strictly outside a query's reach.
 
-Expanded records are plain tuples whose field order makes the natural
-tuple comparison coincide with the required sort order; per-coordinate
-bitstrings are joined into a single key string with a separator that
-sorts below '0', which preserves the coordinate-wise lexicographic
-order exactly.
+Expanded records are :class:`~domscan.primitives.Records` columns
+``(key, id, final, weight)``. The key packs one prefix code per ranked
+dimension into an integer. The expansion emits points in tie order and
+the sorts are stable, so sorting by the key alone leaves every key
+segment in tie order: data before queries in the basic variant, by the
+raw final coordinate (queries first on ties) in the improved one, then
+by id. A query's copies are emitted in increasing key order (see
+:func:`~domscan.bits.prefix_codes`), so ``final``, set on its last
+copy, marks the copy that ends its id group after the regroup.
+
+The same chain runs on either backend :func:`make_backend` picks; the
+numpy backend calls each function's ``columns`` form, when it has one,
+on whole columns.
 """
 
 from __future__ import annotations
@@ -35,31 +43,30 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import product, repeat
-from operator import itemgetter
+from itertools import product
+from operator import attrgetter
 from typing import Any, NamedTuple
 
-from .bits import one_prefix_list, zero_prefix_list
+from . import bits
 from .monoids import Monoid
-from .primitives import CountingBackend, make_backend
-from .ranks import binarize, rank_dimension, width_for
-
-_SEP = "\x1f"  # joined-key separator; sorts below "0" and "1"
-
-_key_of = itemgetter(0)
-_role_of = itemgetter(2)
-_id_of = itemgetter(3)
-_weight_of = itemgetter(-1)
-_value_of = itemgetter(3)
+from .primitives import CountingBackend, Records, make_backend
+# binarize, the bitstring form of the ranks, is not part of the chain,
+# which works on integer prefix codes; it stays reachable here because
+# the benchmark's tracer wraps pipeline.binarize (perfbench/tracing.py).
+from .ranks import binarize, rank_dimension, width_for  # noqa: F401
 
 # Primitive invocations per run are a function of the dimension count
-# only: 11 per ranked dimension (10 for ranking, 1 for binarizing) plus
-# 14 fixed calls. The documented budget is the 6m+9 instruction outline
-# plus the allowance below, which covers what that outline leaves
-# implicit (realignment of ranks to input order at 5 extra calls per
-# dimension, and column extraction and reattachment around the
-# segmented scans) for dimensions up to four.
-PLUMBING_CALLS = 25
+# only: 9 per ranked dimension plus 10 fixed calls. The documented
+# budget is the 6m+9 instruction outline plus the allowance below,
+# which covers what that outline leaves implicit (realignment of ranks
+# to input order, the tie-order sort and the final selection of each
+# query's total) for dimensions up to four.
+PLUMBING_CALLS = 13
+
+
+class InputError(ValueError):
+    """Input domscan cannot use: a malformed point set, or a file that
+    is malformed or cannot be read or written (:mod:`domscan.datafiles`)."""
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,7 @@ class ExpansionStats:
     ``expanded_count``. ``elements_processed`` sums, over every
     primitive call, the lengths of its sequence arguments plus its
     output; ``primitive_calls`` counts the calls themselves.
+    ``backend`` names the backend that ran: ``"seq"`` or ``"numpy"``.
     """
 
     data_count: int
@@ -108,6 +116,7 @@ class ExpansionStats:
     elements_processed: int = 0
     primitive_calls: int = 0
     phase_seconds: dict = field(default_factory=dict)
+    backend: str = "seq"
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,13 @@ class PipelineConfig:
 def weights_with_unit(dq, monoid: Monoid, backend):
     """Weight of each point, with queries mapped to the monoid unit."""
     unit = monoid.unit
-    return backend.map(lambda p: unit if p.is_query else p.weight, dq)
+
+    def weight(p):
+        return unit if p.is_query else p.weight
+
+    # Point columns already hold the unit in every query slot.
+    weight.columns = attrgetter("weight")
+    return backend.map(weight, dq)
 
 
 def run(data, queries, cfg: PipelineConfig):
@@ -156,21 +171,21 @@ def run_improved(data, queries, cfg: PipelineConfig):
 
 def _validate(data, queries, cfg: PipelineConfig) -> None:
     if cfg.dims < 1:
-        raise ValueError("dims must be at least 1")
+        raise InputError("dims must be at least 1")
     for p in data:
         if p.is_query:
-            raise ValueError(f"query point {p.id} passed in the data sequence")
+            raise InputError(f"query point {p.id} passed in the data sequence")
     for q in queries:
         if not q.is_query:
-            raise ValueError(f"data point {q.id} passed in the query sequence")
+            raise InputError(f"data point {q.id} passed in the query sequence")
     seen: set[int] = set()
     for p in (*data, *queries):
         if len(p.coords) != cfg.dims:
-            raise ValueError(f"point {p.id} has {len(p.coords)} coordinates, expected {cfg.dims}")
+            raise InputError(f"point {p.id} has {len(p.coords)} coordinates, expected {cfg.dims}")
         if any(map(math.isnan, p.coords)):
-            raise ValueError(f"point {p.id} has a NaN coordinate")
+            raise InputError(f"point {p.id} has a NaN coordinate")
         if p.id in seen:
-            raise ValueError(f"duplicate point id {p.id}")
+            raise InputError(f"duplicate point id {p.id}")
         seen.add(p.id)
 
 
@@ -178,7 +193,8 @@ def _run(data, queries, cfg: PipelineConfig, improved: bool):
     _validate(data, queries, cfg)
     monoid = cfg.monoid
     unit = monoid.unit
-    b = CountingBackend(make_backend())
+    ranked = cfg.dims - 1 if improved else cfg.dims
+    b = CountingBackend(make_backend(data, queries, monoid, ranked))
     phases: dict = {}
     last_mark = time.perf_counter()
 
@@ -188,95 +204,112 @@ def _run(data, queries, cfg: PipelineConfig, improved: bool):
         phases[name] = phases.get(name, 0.0) + (now - last_mark)
         last_mark = now
 
+    def stats(expanded, widths):
+        return ExpansionStats(
+            len(data), len(queries), expanded, tuple(widths),
+            b.elements, b.calls, phases, b.inner.name,
+        )
+
     dq = b.concat(data, queries)
     if not dq:
-        return [], ExpansionStats(0, 0, 0, (), b.elements, b.calls, phases)
+        return [], stats(0, ())
+    dq = b.sort(dq, key=_tie_order(improved))
 
-    ranked = cfg.dims - 1 if improved else cfg.dims
-    columns = []
+    ranks = []
     widths = []
     for dim in range(ranked):
-        ranks, unique = rank_dimension(dq, dim, b)
-        columns.append(binarize(ranks, unique, b))
+        dim_ranks, unique = rank_dimension(dq, dim, b)
+        ranks.append(dim_ranks)
         widths.append(width_for(unique))
     mark("rank")
 
     wts = weights_with_unit(dq, monoid, b)
-    expand_one = _expander(improved)
-    edq = b.flatmap(expand_one, *columns, dq, wts)
+    edq = b.flatmap(_Expansion(widths), *ranks, dq, wts)
     mark("expand")
 
     sedq = b.sort(edq)
     mark("sort")
 
-    # One segmented scan keyed by the expanded tuple: every query
-    # copy absorbs the weights of the data copies it collided with.
-    svals = b.map(_weight_of, sedq)
-    stags = b.map(_key_of, sedq)
-    a1 = b.segmented_scan(svals, stags, monoid)
+    # One segmented scan keyed by the expanded key: every query copy
+    # absorbs the weights of the data copies it collided with.
+    keys, ids, finals, weights = sedq.columns
+    a1 = b.segmented_scan(weights, keys, monoid)
 
-    # Regroup the partial aggregations by point id. Records are
-    # (id, position, is_data, value); the position makes the sort keys
-    # total, so results are independent of input order. The scan is
-    # inclusive, so the last slot of each id group holds the
-    # complete aggregation, and the last record per id wins below.
-    records = b.zip(b.map(_id_of, sedq), range(len(sedq)), b.map(_role_of, sedq), a1)
-    by_id = b.sort(records)
-    totals = b.segmented_scan(b.map(_value_of, by_id), b.map(_key_of, by_id), monoid)
+    # Regroup the partial aggregations by point id. The sort is stable,
+    # so each group keeps the expansion order, and the inclusive scan
+    # leaves a query's complete aggregation on its final copy.
+    ids, finals, partial = b.sort(b.zip(ids, finals, a1)).columns
+    totals = b.segmented_scan(partial, ids, monoid)
     mark("aggregate")
 
-    by_query: dict[int, Any] = {}
-    for rec, value in zip(by_id, totals):
-        if not rec[2]:  # query copies carry is_data False
-            by_query[rec[0]] = value
+    by_query = dict(b.flatmap(_final_row, finals, ids, totals))
     results = [
         QueryResult(q.id, by_query.get(q.id, unit))
-        for q in sorted(queries, key=lambda p: p.id)
+        for q in sorted(queries, key=attrgetter("id"))
     ]
     mark("project")
-    stats = ExpansionStats(
-        len(data), len(queries), len(edq), tuple(widths), b.elements, b.calls, phases
-    )
-    return results, stats
+    return results, stats(len(edq), widths)
 
 
-def _expander(improved: bool):
-    """Per-point expansion into sort-ready records.
+def _tie_order(improved: bool):
+    """Sort key of the points: the order records keep inside a segment of
+    equal expanded keys. Written with elementwise operators, so it also
+    reads point columns."""
+    if improved:
+        # the raw final coordinate, queries (is_query 1) first on ties
+        return lambda p: (p.coords[-1], 1 - p.is_query, p.id)
+    # a dummy coordinate in which every data point is below every query
+    return lambda p: (p.is_query, p.id)
 
-    Records are ``(key, last, is_data, id, weight)``: ``last`` is the raw
-    final coordinate in the improved variant and the role (data
-    ``False``, queries ``True``) in the basic one, a dummy coordinate in
-    which every data point lies strictly below every query. Plain tuple
-    comparison equals the pipeline's sort order (data before queries on
-    full-key ties in the basic variant, queries before data on ties of
-    the raw coordinate in the improved one) and the trailing weight is
-    never compared because ids are unique. Prefix lists are cached per
-    bitstring and role; the cache also shares the string objects across
-    records.
+
+class _Expansion:
+    """Flatmap kernel: a point's expanded records ``(key, id, final, weight)``.
+
+    Called with a point's rank in each ranked dimension, the point and
+    its weight. The keys are the sums over the product of the point's
+    per-dimension prefix code lists, each code shifted to its field;
+    ``final`` marks a query's last (largest) key. Code lists are cached
+    per dimension, rank and role. :meth:`columns` is the same kernel over
+    whole columns, for the numpy backend.
     """
-    cache: dict = {}
 
-    def prefixes(bitstring, is_query):
-        got = cache.get((bitstring, is_query))
+    def __init__(self, widths):
+        self.widths = widths
+        self.offsets = bits.field_offsets(widths)
+        self.cache: dict = {}
+
+    def _codes(self, dim, rank, is_query):
+        got = self.cache.get((dim, rank, is_query))
         if got is None:
-            got = (one_prefix_list if is_query else zero_prefix_list)(bitstring)
-            cache[(bitstring, is_query)] = got
+            shift = self.offsets[dim]
+            codes = bits.prefix_codes(rank - 1, self.widths[dim], int(is_query))
+            got = self.cache[(dim, rank, is_query)] = [c << shift for c in codes]
         return got
 
-    join = _SEP.join
-
-    def expand_one(*args):
-        point, weight = args[-2], args[-1]
+    def __call__(self, *args):
+        *ranks, point, weight = args
         flag = point.is_query
-        lists = [prefixes(bs, flag) for bs in args[:-2]]
-        return list(
-            zip(
-                map(join, product(*lists)),
-                repeat(point.coords[-1] if improved else flag),
-                repeat(not flag),
-                repeat(point.id),
-                repeat(weight),
-            )
-        )
+        keys = list(map(sum, product(*(self._codes(d, r, flag) for d, r in enumerate(ranks)))))
+        count = len(keys)
+        final = [False] * count
+        if flag and count:
+            final[-1] = True
+        return Records((keys, [point.id] * count, final, [weight] * count))
 
-    return expand_one
+    def columns(self, *args):
+        from .vector import expand
+
+        *ranks, points, weights = args
+        return expand(self.widths, ranks, points, weights)
+
+
+def _final_row(final, point_id, total):
+    """The ``(id, total)`` row of a query's final copy; nothing otherwise."""
+    return [(point_id, total)] if final else []
+
+
+# Over whole columns: one output row per set flag, gathered from its source row.
+_final_row.columns = lambda finals, ids, totals: (
+    finals.a,
+    lambda src, k: Records((ids.take(src), totals.take(src))),
+)

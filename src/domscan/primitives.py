@@ -13,6 +13,15 @@ keep their input order.
 ``map`` and ``flatmap`` follow the builtin ``map`` convention: passing
 several sequences applies the function to aligned elements, which is
 the zip-then-map (and zip-then-flatmap) combination.
+
+Multi-field records are :class:`Records`: parallel columns that read
+as a sequence of row tuples. ``zip`` builds them, ``sort`` orders them
+by their first field, and a ``flatmap`` function may return them to
+emit several columns at once.
+
+:func:`make_backend` picks, per run, between :class:`SequentialBackend`
+and the numpy backend of :mod:`domscan.vector`, which keeps the same
+contract over whole columns.
 """
 
 from __future__ import annotations
@@ -33,13 +42,51 @@ def _check_lengths(seqs) -> None:
         raise ValueError(f"sequences have different lengths: {lengths}")
 
 
+class Records:
+    """A sequence of records stored as parallel columns.
+
+    ``len()`` is the row count and iteration yields row tuples, so
+    records compare equal to the list of their rows. Sorting orders the
+    rows stably by the first column, the key; the other columns ride
+    along and are never compared.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+
+    def __len__(self):
+        return len(self.columns[0]) if self.columns else 0
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+    def __eq__(self, other):
+        try:
+            return list(self) == list(other)
+        except TypeError:
+            return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Records({list(self)!r})"
+
+
 class SequentialBackend:
     """Every operation is a single sequential pass."""
 
+    name = "seq"
+
     def sort(self, x, key=None, reverse=False):
         """Sorted copy of ``x``; nondecreasing under ``key`` (or the
-        elements' natural order), nonincreasing with ``reverse``."""
-        return sorted(x, key=key, reverse=reverse)
+        elements' natural order), nonincreasing with ``reverse``.
+        :class:`Records` are ordered stably by their first column."""
+        if not isinstance(x, Records):
+            return sorted(x, key=key, reverse=reverse)
+        order = sorted(range(len(x)), key=x.columns[0].__getitem__, reverse=reverse)
+        return Records([list(map(c.__getitem__, order)) for c in x.columns])
 
     def map(self, f, *xs):
         """``[f(e) for e in x]``; with several sequences, ``f`` is applied
@@ -54,15 +101,24 @@ class SequentialBackend:
 
     def flatmap(self, f, *xs):
         """Concatenation of the lists produced by ``f`` per element (or
-        per aligned element tuple), in input order."""
+        per aligned element tuple), in input order; when ``f`` returns
+        :class:`Records`, their columns are concatenated."""
         if len(xs) > 1:
             _check_lengths(xs)
-        return list(chain.from_iterable(map(f, *xs)))
+        parts = list(map(f, *xs))
+        if parts and isinstance(parts[0], Records):
+            columns = zip(*(part.columns for part in parts))
+            return Records([list(chain.from_iterable(c)) for c in columns])
+        return list(chain.from_iterable(parts))
 
     def zip(self, *xs):
-        """Tuples of aligned elements; all inputs must have equal length."""
+        """Records of aligned elements; all inputs must have equal length.
+
+        >>> list(SequentialBackend().zip([1, 2], "ab"))
+        [(1, 'a'), (2, 'b')]
+        """
         _check_lengths(xs)
-        return list(zip(*xs))
+        return Records([list(x) for x in xs])
 
     def concat(self, x, y):
         """Elements of ``x`` followed by elements of ``y``."""
@@ -176,8 +232,25 @@ class CountingBackend:
         return self._tally(self.inner.segmented_scan(x, tags, monoid), (x, tags))
 
 
-def make_backend():
-    """The backend a pipeline run computes with. The pipeline gets its
-    backend only here, so wrapping this function (as the benchmark's
-    tracer does) sees every primitive call."""
+def make_backend(data=(), queries=(), monoid=None, ranked=0):
+    """The backend a pipeline run computes with, chosen from its input.
+
+    The numpy backend runs when numpy imports, the monoid has a vector
+    form (``monoid.ufunc``: count, integer sum, min, max) and the input
+    converts to numpy columns without changing any result; the rules
+    are listed in :mod:`domscan.vector`. Every
+    other run gets the sequential backend. numpy is imported here, on
+    the first run that qualifies, never by ``import domscan``.
+
+    The pipeline gets its backend only here, so wrapping this function
+    (as the benchmark's tracer does) sees every primitive call.
+    """
+    if monoid is not None and monoid.ufunc is not None and (data or queries):
+        try:
+            from .vector import NumpyBackend
+        except ImportError:
+            return SequentialBackend()
+        backend = NumpyBackend.for_input(data, queries, monoid, ranked)
+        if backend is not None:
+            return backend
     return SequentialBackend()

@@ -3,18 +3,15 @@
 Ranks preserve every strict inequality and every tie of the original
 coordinates, so aggregations over dominated points are unchanged by the
 transform. Each dimension gets its own fixed width, just large enough
-for the number of distinct values in that dimension.
+for the number of distinct values in that dimension. The pipeline
+encodes ranks as integer prefix codes (``bits.prefix_codes``);
+:func:`binarize` gives their bitstring form.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .bits import bin_fixed
 from .monoids import SUM
-
-_coord_of = itemgetter(0)
-_rank_of = itemgetter(1)
 
 
 def width_for(unique: int) -> int:
@@ -22,10 +19,12 @@ def width_for(unique: int) -> int:
     return max(1, (unique - 1).bit_length())
 
 
-def _less_flag(a, b, j) -> int:
-    # The first element always opens a new rank: its shifted predecessor
-    # is the max unit -inf, which a -inf coordinate does not exceed.
-    return 1 if j == 0 or a < b else 0
+def _opens_rank(prev, cur, position):
+    # 1 where a new distinct value starts. The first element always opens
+    # a rank: its shifted predecessor is the max unit -inf, which a -inf
+    # coordinate does not exceed. Only elementwise operators, so it also
+    # reads whole columns.
+    return ((prev < cur) | (position == 0)) * 1
 
 
 def rank_dimension(dq, dim: int, backend):
@@ -43,16 +42,15 @@ def rank_dimension(dq, dim: int, backend):
     if not dq:
         raise ValueError("rank_dimension: empty input")
     b = backend
-    pairs = b.map(lambda p, j: (p.coords[dim], j), dq, range(len(dq)))
-    spairs = b.sort(pairs)
-    coords = b.map(_coord_of, spairs)
-    prev = b.shift(coords)
-    flags = b.map(_less_flag, prev, coords, range(len(coords)))
+    n = len(dq)
+    coords = b.map(lambda p: p.coords[dim], dq)
+    scoords, positions = b.sort(b.zip(coords, range(n))).columns
+    prev = b.shift(scoords)
+    flags = b.map(_opens_rank, prev, scoords, range(n))
     sorted_ranks = b.scan(flags, SUM)
     unique = b.broadcast_max(sorted_ranks)[-1]
-    restore = b.map(lambda cp, r: (cp[1], r), spairs, sorted_ranks)
-    by_position = b.sort(restore)
-    return b.map(_rank_of, by_position), unique
+    restored = b.sort(b.zip(positions, sorted_ranks))
+    return restored.columns[1], unique
 
 
 def binarize(ranks, unique: int, backend) -> list[str]:

@@ -2,7 +2,9 @@
 
 The two heavy suites (the 100-seed equivalence matrix and the
 input-order determinism sweep) fan out over a small process pool; all seeds
-are fixed, so every run is deterministic.
+are fixed, so every run is deterministic. The matrix, the call-count test
+and the determinism sweep run every instance on each backend (see
+``backends.py``); the matrix computes the oracle once per instance.
 """
 
 import math
@@ -13,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import chain, product
 from pathlib import Path
 
+from backends import BACKENDS, expected_backend, run_on
 from domscan.bits import bin_fixed, one_prefix_list, one_prefixes, zero_prefix_list, zero_prefixes
 from domscan.cli import EXIT_OK, main
 from domscan.datafiles import generate_instance
@@ -62,15 +65,17 @@ def _matrix_block(seeds):
                 monoid = MONOIDS[name]
                 data = _adapt_weights(data_raw, name)
                 expected = brute_force(data, queries, monoid)
-                for variant in ("basic", "improved"):
+                for variant, backend in product(("basic", "improved"), BACKENDS):
                     cfg = PipelineConfig(dims=m, monoid=monoid, variant=variant)
-                    results, _ = run(data, queries, cfg)
+                    results, stats = run_on(backend, data, queries, cfg)
+                    if stats.backend != expected_backend(backend, monoid):
+                        failures.append((seed, m, name, variant, backend, "ran on", stats.backend))
                     if len(results) != len(queries):
-                        failures.append((seed, m, name, variant, "missing results"))
+                        failures.append((seed, m, name, variant, backend, "missing results"))
                         continue
                     for r in results:
                         if not monoid.value_eq(r.value, expected[r.id]):
-                            failures.append((seed, m, name, variant, r.id))
+                            failures.append((seed, m, name, variant, backend, r.id))
     return failures
 
 
@@ -140,29 +145,31 @@ def test_expansion_bounds(capsys):
 
 
 def _count_calls(job):
-    total, m, variant = job
+    total, m, variant, backend = job
     data, queries = generate_instance(total // 2, total - total // 2, m, seed=900 + m)
     cfg = PipelineConfig(dims=m, monoid=MONOIDS["count"], variant=variant)
-    _, stats = run(data, queries, cfg)
+    _, stats = run_on(backend, data, queries, cfg)
     return job, stats.primitive_calls
 
 
 def test_operation_count_depends_only_on_dimension(capsys):
     t0 = time.time()
-    jobs = list(product((2**8, 2**12), DIMS, ("basic", "improved")))
+    jobs = list(product((2**8, 2**12), DIMS, ("basic", "improved"), BACKENDS))
     with ProcessPoolExecutor(max_workers=WORKERS) as pool:
         counts = dict(pool.map(_count_calls, jobs))
     failures = []
-    for m, variant in product(DIMS, ("basic", "improved")):
-        small = counts[(2**8, m, variant)]
-        large = counts[(2**12, m, variant)]
+    for m, variant, backend in product(DIMS, ("basic", "improved"), BACKENDS):
+        small = counts[(2**8, m, variant, backend)]
+        large = counts[(2**12, m, variant, backend)]
         ranked = m - 1 if variant == "improved" else m
         if small != large:
-            failures.append((m, variant, "count varies with n", small, large))
-        if large != 11 * ranked + 14:
-            failures.append((m, variant, "count is not 11r+14", large))
+            failures.append((m, variant, backend, "count varies with n", small, large))
+        if large != counts[(2**12, m, variant, "seq")]:
+            failures.append((m, variant, backend, "count differs from seq", large))
+        if large != 9 * ranked + 10:
+            failures.append((m, variant, backend, "count is not 9r+10", large))
         if large > 6 * m + 9 + PLUMBING_CALLS:
-            failures.append((m, variant, "over budget", large))
+            failures.append((m, variant, backend, "over budget", large))
     _report(capsys, "operation count is a function of dimension", failures, time.time() - t0)
 
 
@@ -179,17 +186,17 @@ def _determinism_block(indices):
             rng = random.Random(i)
             rng.shuffle(shuffled_data)
             rng.shuffle(shuffled_queries)
-            for variant in ("basic", "improved"):
+            for variant, backend in product(("basic", "improved"), BACKENDS):
                 cfg = PipelineConfig(dims=3, monoid=monoid, variant=variant)
                 outs = [
                     # repr is exact for floats and tells -0.0 from 0.0 and
                     # 0 from 0.0, so equal lists mean bitwise-equal results
-                    [(r.id, repr(r.value)) for r in run(d, q, cfg)[0]]
+                    [(r.id, repr(r.value)) for r in run_on(backend, d, q, cfg)[0]]
                     for d, q in ((data, queries), (shuffled_data, shuffled_queries))
                 ]
                 if outs[0] != outs[1]:
                     diff = next(((a, b) for a, b in zip(*outs) if a != b), "lengths differ")
-                    failures.append((i, name, variant, diff))
+                    failures.append((i, name, variant, backend, diff))
     return failures
 
 
@@ -222,12 +229,12 @@ def test_degenerate_and_tie_suites(capsys):
         for name in ("count", "sum"):
             monoid = MONOIDS[name]
             expected = brute_force(data, queries, monoid)
-            for variant in ("basic", "improved"):
+            for variant, backend in product(("basic", "improved"), BACKENDS):
                 cfg = PipelineConfig(dims=2, monoid=monoid, variant=variant)
-                results, _ = run(data, queries, cfg)
+                results, _ = run_on(backend, data, queries, cfg)
                 got = {r.id: r.value for r in results}
                 if got != expected:
-                    failures.append((label, name, variant, got, expected))
+                    failures.append((label, name, variant, backend, got, expected))
     _report(capsys, "degenerate and tie suites", failures)
 
 

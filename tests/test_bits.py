@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from domscan.bits import (
     bin_fixed,
     dominance_witness,
+    field_offsets,
+    key_bits,
     one_prefix_list,
     one_prefixes,
+    prefix_code,
+    prefix_codes,
     zero_prefix_list,
     zero_prefixes,
 )
@@ -88,3 +92,53 @@ def test_witness_agrees_with_full_product_enumeration():
         else:
             assert full == set()
             assert witness is None
+
+
+def string_code(prefix: str, width: int) -> int:
+    return prefix_code(int(prefix or "0", 2), len(prefix), width)
+
+
+@given(st.integers(1, 12), st.data())
+def test_prefix_codes_code_the_prefix_lists(width, data):
+    x = data.draw(st.integers(0, 2**width - 1))
+    s = bin_fixed(x, width)
+    assert prefix_codes(x, width, 0) == [string_code(p, width) for p in zero_prefix_list(s)]
+    assert prefix_codes(x, width, 1) == [string_code(p, width) for p in one_prefix_list(s)]
+    ones = prefix_codes(x, width, 1)
+    assert ones == sorted(set(ones))  # one-prefix codes increase with length
+    assert all(0 < c < 2 ** (width + 1) for c in prefix_codes(x, width, 0) + ones)
+
+
+def test_prefix_code_is_one_to_one():
+    width = 5
+    codes = {
+        string_code(format(p, f"0{n}b") if n else "", width)
+        for n in range(width + 1)
+        for p in range(2**n)
+    }
+    assert len(codes) == 2 ** (width + 1) - 1
+
+
+def test_packed_keys_share_exactly_the_dominance_witness():
+    rng = random.Random(77)
+    for _ in range(300):
+        widths = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+        offsets = field_offsets(widths)
+        xv = [rng.randrange(2**w) for w in widths]
+        yv = [rng.randrange(2**w) for w in widths]
+
+        def keys(values, bit):
+            lists = [[c << o for c in prefix_codes(v, w, bit)] for v, w, o in zip(values, widths, offsets)]
+            return [sum(t) for t in product(*lists)]
+
+        shared = set(keys(xv, 0)) & set(keys(yv, 1))
+        assert len(shared) == (1 if all(a < b for a, b in zip(xv, yv)) else 0)
+        query_keys = keys(yv, 1)
+        assert query_keys == sorted(set(query_keys))  # emitted in increasing order
+        assert all(k < 2 ** key_bits(widths) for k in query_keys)
+
+
+def test_field_offsets():
+    assert field_offsets([3, 1, 2]) == [5, 3, 0]
+    assert field_offsets([]) == []
+    assert key_bits([3, 1, 2]) == 9

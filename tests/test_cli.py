@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 import domscan.cli
-from domscan.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+import domscan.primitives
+from backends import HAVE_NUMPY, backend_seam
+from domscan.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from domscan.datafiles import read_points
 from domscan.monoids import FLOAT_SUM
 
@@ -49,7 +51,53 @@ def test_run_stats_report(tmp_path):
     assert report["stats"]["expanded_count"] >= 3
     assert report["stats"]["widths"] == [2, 2]
     assert report["variant"] == "basic" and report["monoid"] == "count"
+    assert report["backend"] == ("numpy" if HAVE_NUMPY else "seq")
     assert set(report["phases"]) >= {"load_seconds", "compute_seconds", "write_seconds"}
+
+
+def test_run_stats_report_names_the_fallback_backend(tmp_path, capsys):
+    d, q = _float_weight_instance(tmp_path)
+    stats = tmp_path / "stats.json"
+    assert main(["run", d, q, "--monoid", "sum", "--stats", str(stats)]) == EXIT_OK
+    report = json.loads(stats.read_text())
+    assert report["monoid"] == "fsum" and report["backend"] == "seq"
+
+
+def _last_stderr_line(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    return err.strip()
+
+
+def test_run_output_into_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    assert main(["run", *FIXTURE, "--output", str(out)]) == EXIT_INPUT
+    assert _last_stderr_line(capsys) == f"domscan: {out}: cannot write: No such file or directory"
+
+
+def test_run_stats_into_missing_directory(tmp_path, capsys):
+    out, stats = tmp_path / "out.csv", tmp_path / "missing" / "s.json"
+    assert main(["run", *FIXTURE, "--output", str(out), "--stats", str(stats)]) == EXIT_INPUT
+    assert _last_stderr_line(capsys) == f"domscan: {stats}: cannot write: No such file or directory"
+
+
+def test_gen_data_into_missing_directory(tmp_path, capsys):
+    data = tmp_path / "missing" / "d.csv"
+    args = ["gen", "--n", "3", "--q", "3", "--data", str(data), "--queries", str(tmp_path / "q.csv")]
+    assert main(args) == EXIT_INPUT
+    assert _last_stderr_line(capsys) == f"domscan: {data}: cannot write: No such file or directory"
+
+
+def test_internal_error_is_not_an_input_error(capsys):
+    class Broken(domscan.primitives.SequentialBackend):
+        def segmented_scan(self, x, tags, monoid):
+            raise ValueError("sequences have different lengths: [3, 2]")
+
+    with backend_seam(lambda *args, **kwargs: Broken()):
+        assert main(["run", *FIXTURE]) == EXIT_INTERNAL
+    assert _last_stderr_line(capsys) == (
+        "domscan: internal error: ValueError: sequences have different lengths: [3, 2]"
+    )
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -237,4 +285,5 @@ def test_bench_prints_table(capsys):
     assert main(["bench", "--n0", "32", "--rounds", "2", "--dim", "2"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
-    assert "seconds" in lines[0]
+    assert "seconds" in lines[0] and lines[0].split()[-1] == "backend"
+    assert lines[1].split()[-1] == ("numpy" if HAVE_NUMPY else "seq")

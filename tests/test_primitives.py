@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from domscan.monoids import MAX, SUM
-from domscan.primitives import SequentialBackend
+from domscan.primitives import Records, SequentialBackend
 
 NEG_INF = float("-inf")
 
@@ -92,6 +92,21 @@ def test_segmented_scan():
     assert b.segmented_scan(xs, ["c"] * 3, SUM) == b.scan(xs, SUM)
     with pytest.raises(ValueError, match="lengths"):
         b.segmented_scan([1, 2], [0], SUM)
+
+
+def test_records_sort_by_their_first_column_only():
+    rows = b.zip([2, 1, 2, 1], ["d", "c", "b", "a"])
+    assert isinstance(rows, Records) and len(rows) == 4
+    # stable: equal keys keep their input order; the payload is never compared
+    assert b.sort(rows) == [(1, "c"), (1, "a"), (2, "d"), (2, "b")]
+    assert b.sort(rows, reverse=True) == [(2, "d"), (2, "b"), (1, "c"), (1, "a")]
+    assert b.sort(b.zip([], [])) == []
+
+
+def test_flatmap_concatenates_records_columnwise():
+    out = b.flatmap(lambda n: Records(([n] * n, list(range(n)))), [2, 0, 1])
+    assert isinstance(out, Records)
+    assert out.columns == ([2, 2, 1], [0, 1, 0])
 
 
 def test_concat():
