@@ -13,6 +13,7 @@ from .pipeline import (
     ExpansionStats,
     PipelineConfig,
     Point,
+    PointTable,
     QueryResult,
     data_point,
     query_point,
@@ -42,6 +43,7 @@ __all__ = [
     "ExpansionStats",
     "PipelineConfig",
     "Point",
+    "PointTable",
     "QueryResult",
     "data_point",
     "query_point",

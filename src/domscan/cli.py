@@ -22,7 +22,6 @@ import time
 
 from .datafiles import (
     InputError,
-    check_unique_ids,
     generate_instance,
     read_points,
     result_lines,
@@ -32,7 +31,12 @@ from .datafiles import (
 )
 from .monoids import FLOAT_SUM, MONOIDS
 from .oracle import brute_force
-from .pipeline import PipelineConfig, run
+from .pipeline import PipelineConfig, PointTable, run
+
+# check_unique_ids is not called: the pipeline's own validation rejects
+# repeated ids. It stays reachable here because the benchmark's tracer
+# wraps cli.check_unique_ids (perfbench/tracing.py).
+from .datafiles import check_unique_ids  # noqa: F401
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -93,21 +97,25 @@ def build_parser() -> _Parser:
 
 
 def _load(args):
+    """The two files as point tables; the pipeline validates the points."""
     data = read_points(args.data_file, queries=False, dims=args.dim)
     queries = read_points(args.query_file, queries=True, dims=args.dim)
-    if len({len(p.coords) for p in (*data, *queries)}) > 1:
+    if data and queries and data.dims != queries.dims:
         raise InputError("data and query files disagree on the coordinate count")
-    check_unique_ids(data, queries)
     if args.monoid == "count":
-        data = [p.__class__(p.id, p.coords, 1, False) for p in data]
+        data = PointTable(data.ids, data.coords, [1] * len(data), False)
     return data, queries
 
 
-def _config(args, data, dims: int) -> PipelineConfig:
+def _dims(args, data, queries) -> int:
+    return data.dims if data else (queries.dims if queries else args.dim or 1)
+
+
+def _config(args, weights, dims: int) -> PipelineConfig:
     monoid = MONOIDS[args.monoid]
     # Float addition depends on the order of the terms, so float weights
     # are summed under the float monoid, which compares within a tolerance.
-    if args.monoid == "sum" and any(isinstance(p.weight, float) for p in data):
+    if args.monoid == "sum" and any(isinstance(w, float) for w in weights):
         monoid = FLOAT_SUM
     return PipelineConfig(dims=dims, monoid=monoid, variant=args.variant)
 
@@ -119,9 +127,8 @@ def cmd_run(args) -> int:
     except InputError as exc:
         print(f"domscan: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    dims = len(data[0].coords) if data else (len(queries[0].coords) if queries else args.dim or 1)
     t_load = time.perf_counter() - t0
-    cfg = _config(args, data, dims)
+    cfg = _config(args, data.weights, _dims(args, data, queries))
     t1 = time.perf_counter()
     results, stats = run(data, queries, cfg)
     t_compute = time.perf_counter() - t1
@@ -161,8 +168,7 @@ def cmd_verify(args) -> int:
     except InputError as exc:
         print(f"domscan: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    dims = len(data[0].coords) if data else (len(queries[0].coords) if queries else args.dim or 1)
-    cfg = _config(args, data, dims)
+    cfg = _config(args, data.weights, _dims(args, data, queries))
     monoid = cfg.monoid
     results, _ = run(data, queries, cfg)
     expected = brute_force(data, queries, monoid)
@@ -214,7 +220,7 @@ def cmd_bench(args) -> int:
         data, queries = generate_instance(half, total - half, dims, args.seed + round_no)
         if args.monoid == "count":
             data = [p.__class__(p.id, p.coords, 1, False) for p in data]
-        cfg = _config(args, data, dims)
+        cfg = _config(args, [p.weight for p in data], dims)
         t0 = time.perf_counter()
         _, stats = run(data, queries, cfg)
         elapsed = time.perf_counter() - t0

@@ -12,9 +12,10 @@ import math
 import random
 import sys
 from contextlib import contextmanager
+from itertools import repeat
 from typing import Any
 
-from .pipeline import InputError, Point, data_point, query_point
+from .pipeline import InputError, Point, PointTable, data_point, query_point
 
 
 def _parse_number(text: str) -> Any:
@@ -24,24 +25,28 @@ def _parse_number(text: str) -> Any:
         return float(text)
 
 
-def read_points(path: str, *, queries: bool, dims: int | None = None) -> list[Point]:
-    """Parse a data or query file into points.
+def read_points(path: str, *, queries: bool, dims: int | None = None) -> PointTable:
+    """Parse a data or query file into a point table.
 
     ``dims``, when given, is cross-checked against the header. Errors
     report the offending physical line number (the header is line 1).
+    Lines may end in LF, CRLF or CR; blank lines are skipped but counted.
+
+    The rows are parsed column by column; a file with any row that the
+    column parse cannot take is parsed again line by line
+    (:func:`_parse_lines`), which reports the first bad line.
     """
     try:
         with open(path, newline="") as fh:
-            numbered = [
-                (lineno, line.rstrip("\n"))
-                for lineno, line in enumerate(fh, start=1)
-                if line.strip()
-            ]
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    if not numbered:
+    # The line ends that iterating a file opened with newline="" splits on.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rows = list(filter(str.strip, lines))
+    if not rows:
         raise InputError(f"{path}: missing header row")
-    header = [c.strip() for c in numbered[0][1].split(",")]
+    header = [c.strip() for c in rows[0].split(",")]
     if not header or header[0] != "id":
         raise InputError(f"{path}: line 1: header must start with 'id'")
     has_weight = not queries and header[-1] == "weight"
@@ -50,8 +55,50 @@ def read_points(path: str, *, queries: bool, dims: int | None = None) -> list[Po
         raise InputError(f"{path}: line 1: no coordinate columns")
     if dims is not None and m != dims:
         raise InputError(f"{path}: line 1: header has {m} coordinates, expected {dims}")
-    expected_cols = len(header)
-    points: list[Point] = []
+    table = _parse_columns(rows[1:], len(header), m, has_weight, queries)
+    if table is None:
+        table = _parse_lines(path, lines, len(header), m, has_weight, queries)
+    return table
+
+
+def _parse_columns(rows: list[str], ncols: int, m: int, has_weight: bool, queries: bool) -> PointTable | None:
+    """The rows as a table, or None when some row has the wrong number
+    of cells, a cell that does not parse, or a NaN coordinate or weight.
+
+    ``int`` and ``float`` ignore surrounding whitespace as ``str.strip``
+    does, so each cell converts to what :func:`_parse_lines` makes of it.
+    """
+    n = len(rows)
+    if set(map(str.count, rows, repeat(",", n))) != {ncols - 1}:
+        return None
+    cells = ",".join(rows).split(",")
+    try:
+        ids = list(map(int, cells[0::ncols]))
+        coords = [list(map(float, cells[1 + d :: ncols])) for d in range(m)]
+        if not has_weight:
+            weights = [None if queries else 1] * n
+        else:
+            column = cells[1 + m :: ncols]
+            try:
+                weights = list(map(int, column))
+            except ValueError:
+                weights = list(map(_parse_number, column))
+                if any(w != w for w in weights):
+                    return None
+    except ValueError:
+        return None
+    if any(any(map(math.isnan, column)) for column in coords):
+        return None
+    return PointTable(ids, coords, weights, queries)
+
+
+def _parse_lines(
+    path: str, lines: list[str], expected_cols: int, m: int, has_weight: bool, queries: bool
+) -> PointTable:
+    """Parse the rows after the header one line at a time, raising
+    :class:`InputError` with the line number at the first bad one."""
+    numbered = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
+    ids, rows, weights = [], [], []
     for lineno, line in numbered[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != expected_cols:
@@ -66,8 +113,13 @@ def read_points(path: str, *, queries: bool, dims: int | None = None) -> list[Po
             raise InputError(f"{path}: line {lineno}: {exc}") from None
         if any(map(math.isnan, coords)):
             raise InputError(f"{path}: line {lineno}: NaN coordinate")
-        points.append(query_point(pid, coords) if queries else data_point(pid, coords, weight))
-    return points
+        if weight != weight:
+            raise InputError(f"{path}: line {lineno}: NaN weight")
+        ids.append(pid)
+        rows.append(coords)
+        weights.append(None if queries else weight)
+    columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(m)]
+    return PointTable(ids, columns, weights, queries)
 
 
 def check_unique_ids(data: list[Point], queries: list[Point]) -> None:

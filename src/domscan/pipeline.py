@@ -83,6 +83,67 @@ class Point:
     is_query: bool = False
 
 
+class PointTable:
+    """Points of one role as columns: ``ids``, ``coords`` (one list per
+    dimension) and ``weights``, aligned by row.
+
+    ``len()`` is the row count. Iteration yields :class:`Point` objects:
+    the ones the table was made from (:func:`point_table`), or points
+    built from the columns on first use.
+    """
+
+    __slots__ = ("ids", "coords", "weights", "is_query", "_points")
+
+    def __init__(self, ids, coords, weights, is_query: bool, points=None):
+        self.ids = ids
+        self.coords = coords
+        self.weights = weights
+        self.is_query = is_query
+        self._points = points
+
+    @property
+    def dims(self) -> int:
+        return len(self.coords)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __iter__(self):
+        if self._points is None:
+            rows = zip(self.ids, zip(*self.coords), self.weights)
+            self._points = [Point(i, c, w, self.is_query) for i, c, w in rows]
+        return iter(self._points)
+
+
+def point_table(points, is_query: bool, dims: int) -> PointTable:
+    """``points`` (a :class:`PointTable` or an iterable of :class:`Point`)
+    as a table of ``dims`` coordinate columns, checking every point's
+    role and coordinate count."""
+    if isinstance(points, PointTable):
+        if not points:
+            return PointTable([], [[] for _ in range(dims)], [], is_query)
+        if points.is_query != is_query or points.dims != dims:
+            _reject(points.ids[0], points.is_query, points.dims, is_query, dims)
+        return points
+    points = list(points)
+    ids, rows, weights = [], [], []
+    for p in points:
+        if p.is_query != is_query or len(p.coords) != dims:
+            _reject(p.id, p.is_query, len(p.coords), is_query, dims)
+        ids.append(p.id)
+        rows.append(p.coords)
+        weights.append(p.weight)
+    coords = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(dims)]
+    return PointTable(ids, coords, weights, is_query, points)
+
+
+def _reject(point_id, point_is_query, n_coords, is_query, dims):
+    if point_is_query != is_query:
+        role, sequence = ("data", "query") if is_query else ("query", "data")
+        raise InputError(f"{role} point {point_id} passed in the {sequence} sequence")
+    raise InputError(f"point {point_id} has {n_coords} coordinates, expected {dims}")
+
+
 def data_point(point_id: int, coords, weight: Any = 1) -> Point:
     return Point(point_id, tuple(coords), weight, False)
 
@@ -150,7 +211,9 @@ def run(data, queries, cfg: PipelineConfig):
 def run_basic(data, queries, cfg: PipelineConfig):
     """Aggregate over dominated points with all dimensions rank-encoded.
 
-    Returns ``(results, stats)`` where ``results`` holds one
+    ``data`` and ``queries`` are :class:`PointTable` objects or iterables
+    of :class:`Point`; either way they are turned into tables once
+    (:func:`point_table`) and validated column by column. Returns ``(results, stats)`` where ``results`` holds one
     :class:`QueryResult` per query in ascending id order. Queries that
     dominate nothing (including every query when ``data`` is empty) get
     the monoid unit.
@@ -169,28 +232,32 @@ def run_improved(data, queries, cfg: PipelineConfig):
     return _run(data, queries, cfg, improved=True)
 
 
-def _validate(data, queries, cfg: PipelineConfig) -> None:
-    if cfg.dims < 1:
-        raise InputError("dims must be at least 1")
-    for p in data:
-        if p.is_query:
-            raise InputError(f"query point {p.id} passed in the data sequence")
-    for q in queries:
-        if not q.is_query:
-            raise InputError(f"data point {q.id} passed in the query sequence")
-    seen: set[int] = set()
-    for p in (*data, *queries):
-        if len(p.coords) != cfg.dims:
-            raise InputError(f"point {p.id} has {len(p.coords)} coordinates, expected {cfg.dims}")
-        if any(map(math.isnan, p.coords)):
-            raise InputError(f"point {p.id} has a NaN coordinate")
-        if p.id in seen:
-            raise InputError(f"duplicate point id {p.id}")
-        seen.add(p.id)
+def _validate(data: PointTable, queries: PointTable) -> None:
+    """Reject NaN coordinates, NaN weights and repeated ids. Each check
+    scans whole columns; only a failing one walks the points, to name
+    the first offending point."""
+    for table in (data, queries):
+        if any(any(map(math.isnan, column)) for column in table.coords):
+            bad = next(p for p in table if any(map(math.isnan, p.coords)))
+            raise InputError(f"point {bad.id} has a NaN coordinate")
+    if any(w != w for w in data.weights):
+        bad = next(p for p in data if p.weight != p.weight)
+        raise InputError(f"point {bad.id} has a NaN weight")
+    ids = [*data.ids, *queries.ids]
+    if len(set(ids)) != len(ids):
+        seen: set = set()
+        for i in ids:
+            if i in seen:
+                raise InputError(f"duplicate point id {i}")
+            seen.add(i)
 
 
 def _run(data, queries, cfg: PipelineConfig, improved: bool):
-    _validate(data, queries, cfg)
+    if cfg.dims < 1:
+        raise InputError("dims must be at least 1")
+    data = point_table(data, False, cfg.dims)
+    queries = point_table(queries, True, cfg.dims)
+    _validate(data, queries)
     monoid = cfg.monoid
     unit = monoid.unit
     ranked = cfg.dims - 1 if improved else cfg.dims
@@ -243,10 +310,7 @@ def _run(data, queries, cfg: PipelineConfig, improved: bool):
     mark("aggregate")
 
     by_query = dict(b.flatmap(_final_row, finals, ids, totals))
-    results = [
-        QueryResult(q.id, by_query.get(q.id, unit))
-        for q in sorted(queries, key=attrgetter("id"))
-    ]
+    results = [QueryResult(i, by_query.get(i, unit)) for i in sorted(queries.ids)]
     mark("project")
     return results, stats(len(edq), widths)
 

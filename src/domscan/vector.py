@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from . import bits
+from .pipeline import PointTable, point_table
 from .primitives import Records, _check_lengths
 from .ranks import width_for
 
@@ -156,20 +157,20 @@ def _weights(weights, n_queries: int, monoid):
 
 
 def point_columns(data, queries, monoid, ranked: int) -> PointColumns | None:
-    """The input as columns, or None when numpy cannot reproduce the
-    sequential backend's results for it (see the module docstring)."""
-    points = [*data, *queries]
-    n = len(points)
-    flat = [c for p in points for c in p.coords]
+    """The input (two :class:`~domscan.pipeline.PointTable`) as columns,
+    or None when numpy cannot reproduce the sequential backend's results
+    for it (see the module docstring)."""
+    n = len(data) + len(queries)
+    columns = [a + b for a, b in zip(data.coords, queries.coords)]
+    id_list = data.ids + queries.ids
     try:
-        coords = np.array(flat, dtype=np.float64)
-        ids = np.array([p.id for p in points], dtype=np.int64)
+        coords = np.array(columns, dtype=np.float64)
+        ids = np.array(id_list, dtype=np.int64)
     except (TypeError, ValueError, OverflowError):
         return None
-    if coords.tolist() != flat or ids.tolist() != [p.id for p in points]:
+    if coords.tolist() != columns or ids.tolist() != id_list:
         return None
-    coords = np.ascontiguousarray(coords.reshape(n, -1).T)
-    weighted = _weights([p.weight for p in data], len(queries), monoid)
+    weighted = _weights(data.weights, len(queries), monoid)
     if weighted is None:
         return None
     weight, magnitude = weighted
@@ -253,8 +254,15 @@ class NumpyBackend:
 
     @classmethod
     def for_input(cls, data, queries, monoid, ranked: int):
-        """A backend for one run, or None when the run must stay sequential."""
-        points = point_columns(data, queries, monoid, ranked)
+        """A backend for one run, or None when the run must stay sequential.
+
+        ``data`` and ``queries`` are the run's point tables, or lists of
+        points, which are converted here."""
+        tables = data, queries
+        if not isinstance(data, PointTable):
+            dims = len(next(iter((*data, *queries))).coords)
+            tables = point_table(data, False, dims), point_table(queries, True, dims)
+        points = point_columns(*tables, monoid, ranked)
         return None if points is None else cls(data, queries, points)
 
     def sort(self, x, key=None, reverse=False):

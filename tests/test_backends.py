@@ -13,7 +13,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from backends import backend_seam, run_on  # noqa: E402
-from domscan.datafiles import generate_instance  # noqa: E402
+from domscan.datafiles import generate_instance, read_points, write_instance  # noqa: E402
 from domscan.monoids import COUNT, FLOAT_SUM, MAX, MIN, MONOIDS, SUM  # noqa: E402
 from domscan.pipeline import PipelineConfig, data_point, query_point  # noqa: E402
 from domscan.primitives import Records, SequentialBackend, make_backend  # noqa: E402
@@ -68,8 +68,9 @@ def comparable(out):
 
 @pytest.mark.parametrize("variant", ["basic", "improved"])
 @pytest.mark.parametrize("name", ["count", "sum", "min", "max"])
-def test_numpy_matches_sequential_call_by_call(variant, name):
+def test_numpy_matches_sequential_call_by_call(variant, name, tmp_path):
     monoid = MONOIDS[name]
+    paths = str(tmp_path / "d.csv"), str(tmp_path / "q.csv")
     rng = random.Random(name + variant)
     for m in (1, 2, 3, 4):
         data, queries = generate_instance(40, 40, m, seed=rng.randrange(1000), distribution="gridded")
@@ -87,6 +88,14 @@ def test_numpy_matches_sequential_call_by_call(variant, name):
         # the sorted expansion is the sort right after the expansion flatmap
         at = [op for op, _ in seq_calls].index("flatmap") + 1
         assert list(vec_calls[at][1]) == list(seq_calls[at][1])
+        # The same points read back from files, as point tables, run the same.
+        write_instance(*paths, data, queries, m)
+        tables = read_points(paths[0], queries=False), read_points(paths[1], queries=True)
+        for backend, results, stats in (("seq", seq_results, seq_stats), ("numpy", vec_results, vec_stats)):
+            got, got_stats, _ = recorded_run(backend, *tables, cfg)
+            assert repr(got) == repr(results)
+            assert got_stats.primitive_calls == stats.primitive_calls
+            assert got_stats.elements_processed == stats.elements_processed
 
 
 def test_min_max_results_are_the_original_weight_objects():

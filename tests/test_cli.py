@@ -228,6 +228,17 @@ def test_nan_coordinate_reports_line(tmp_path, capsys):
     assert "q.csv: line 3: NaN coordinate" in err
 
 
+def test_nan_weight_reports_line(tmp_path, capsys):
+    d = tmp_path / "d.csv"
+    d.write_text("id,x1,weight\n0,0.5,5\n1,0.1,nan\n")
+    q = tmp_path / "q.csv"
+    q.write_text("id,x1\n10,1\n")
+    for command in ("run", "verify"):
+        for monoid in ("count", "sum", "min", "max"):
+            assert main([command, str(d), str(q), "--monoid", monoid]) == EXIT_INPUT
+            assert _last_stderr_line(capsys) == f"domscan: {d}: line 3: NaN weight"
+
+
 def test_dim_flag_mismatch(tmp_path, capsys):
     assert main(["run", *FIXTURE, "--dim", "3"]) == EXIT_INPUT
     assert "expected 3" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from domscan.monoids import COUNT, FLOAT_SUM, MAX, MIN, MONOIDS, SUM
 from domscan.oracle import brute_force
 from domscan.pipeline import (
     PLUMBING_CALLS,
+    InputError,
     PipelineConfig,
     Point,
     data_point,
@@ -243,6 +244,15 @@ def test_nan_coordinate_is_rejected(variant):
             run(data + [data_point(7, bad)], queries, cfg(2, variant=variant))
         with pytest.raises(ValueError, match="point 7 has a NaN coordinate"):
             run(data, queries + [query_point(7, bad)], cfg(2, variant=variant))
+
+
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_nan_weight_is_rejected(variant):
+    data, queries = fixture_2d()
+    bad = data + [data_point(7, (0.5, 0.5), float("nan"))]
+    for monoid in MONOIDS.values():
+        with pytest.raises(InputError, match="point 7 has a NaN weight"):
+            run(bad, queries, cfg(2, monoid, variant=variant))
 
 
 def test_float_sum_matches_oracle_within_tolerance():
