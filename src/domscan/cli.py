@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -172,14 +173,23 @@ def cmd_verify(args) -> int:
     monoid = cfg.monoid
     results, _ = run(data, queries, cfg)
     expected = brute_force(data, queries, monoid)
-    rule = f"within tolerance {monoid.tolerance!r}" if monoid.tolerance else "exactly"
-    for r in results:
-        if not monoid.value_eq(r.value, expected[r.id]):
-            print(
-                f"mismatch at query {r.id}: pipeline {r.value!r}, reference {expected[r.id]!r}"
-                f" ({monoid.name}, compared {rule})"
-            )
-            return EXIT_MISMATCH
+    ids, values = list(results.ids), list(results.values)
+    wanted = list(map(expected.__getitem__, ids))
+    bad = [i for i, (got, want) in enumerate(zip(values, wanted)) if not monoid.value_eq(got, want)]
+    if bad:
+        first = bad[0]
+        rule = f"within tolerance {monoid.tolerance!r}" if monoid.tolerance else "exactly"
+        print(
+            f"mismatch at query {ids[first]}: pipeline {values[first]!r}, reference {wanted[first]!r}"
+            f" ({monoid.name}, compared {rule})"
+        )
+        error = {i: _relative_error(values[i], wanted[i]) for i in bad}
+        worst = max(bad, key=error.__getitem__)
+        print(
+            f"{len(bad)} of {len(ids)} queries mismatch; worst relative error {error[worst]:.3g}"
+            f" at query {ids[worst]}; first mismatching ids: {', '.join(str(ids[i]) for i in bad[:5])}"
+        )
+        return EXIT_MISMATCH
     if args.expected is not None:
         try:
             with open(args.expected) as fh:
@@ -197,6 +207,16 @@ def cmd_verify(args) -> int:
             return EXIT_MISMATCH
     print(f"verified {len(results)} queries")
     return EXIT_OK
+
+
+def _relative_error(got, want) -> float:
+    """``|got - want| / |want|``; infinite against a reference of 0 or
+    of infinite size."""
+    try:
+        error = abs(got - want) / abs(want)
+    except ZeroDivisionError:
+        return math.inf
+    return error if error == error else math.inf  # NaN from inf - inf or inf / inf
 
 
 def cmd_gen(args) -> int:

@@ -16,6 +16,7 @@ from itertools import repeat
 from typing import Any
 
 from .pipeline import InputError, Point, PointTable, data_point, query_point
+from .primitives import Records
 
 
 def _parse_number(text: str) -> Any:
@@ -145,8 +146,29 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
+def format_column(values) -> list[str]:
+    """:func:`format_value` of every value in a column of results.
+
+    An all-``int`` column goes through ``str`` in one pass. A numpy
+    column of min/max weights holds codes of its distinct weights
+    (``decode``), so each distinct weight is formatted once.
+    """
+    decode = getattr(values, "decode", None)
+    if decode is not None:
+        texts = format_column(decode)
+        return list(map(texts.__getitem__, values.a.tolist()))
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return list(map(str, values))
+    return list(map(format_value, values))
+
+
 def result_lines(results) -> list[str]:
-    return [f"{r.id},{format_value(r.value)}" for r in results]
+    """One ``id,value`` line per result, formatted column by column;
+    ``results`` is a run's :class:`~domscan.pipeline.QueryResults` or a
+    list of ``(id, value)`` rows."""
+    ids, values = results.columns if isinstance(results, Records) else (list(zip(*results)) or ([], []))
+    return list(map(",".join, zip(map(str, ids), format_column(values))))
 
 
 @contextmanager
@@ -161,7 +183,8 @@ def writing(path: str):
 
 
 def write_results(path: str | None, results) -> None:
-    text = "".join(line + "\n" for line in result_lines(results))
+    lines = result_lines(results)
+    text = "\n".join(lines) + "\n" if lines else ""
     if path is None:
         sys.stdout.write(text)
     else:

@@ -11,11 +11,14 @@ coordinate. A run is a fixed-length chain of primitive calls:
    code lists (``bits``): data points over zero-prefixes, queries over
    one-prefixes. A data point and a query produce the same expanded key
    exactly once if and only if the data point is dominated.
-4. Sort the expansion by key; aggregate weights with a segmented scan
-   keyed by it, so every query copy picks up the weights of the
-   dominated data points that collided with it.
-5. Regroup by point id (sort, segmented scan). The scan is inclusive,
-   so the last copy of each query holds that query's complete fold.
+4. Sort the expansion by key, gather each record's weight and
+   aggregate with a segmented scan keyed by the key, so every query
+   copy picks up the weights of the dominated data points that
+   collided with it.
+5. Regroup by point index (sort, segmented scan). The scan is
+   inclusive, so the last row of each query's group holds that query's
+   complete fold. A selection over the points reads it there, and a
+   last sort puts the answers in id order.
 
 The basic variant ranks all ``dims`` dimensions. The improved variant
 leaves the final coordinate as a raw real number and orders records by
@@ -24,14 +27,18 @@ final dimension's bit width; ties there order queries first so equal
 coordinates stay strictly outside a query's reach.
 
 Expanded records are :class:`~domscan.primitives.Records` columns
-``(key, id, final, weight)``. The key packs one prefix code per ranked
-dimension into an integer. The expansion emits points in tie order and
+``(key, point)``. The key packs one prefix code per ranked dimension
+into an integer; the point is the index of the record's point in the
+tie-ordered sequence. The expansion emits points in index order and
 the sorts are stable, so sorting by the key alone leaves every key
 segment in tie order: data before queries in the basic variant, by the
 raw final coordinate (queries first on ties) in the improved one, then
-by id. A query's copies are emitted in increasing key order (see
-:func:`~domscan.bits.prefix_codes`), so ``final``, set on its last
-copy, marks the copy that ends its id group after the regroup.
+by id. After the regroup, point i's group holds its copies, ending
+just before row ``ends[i]``, the running count of copies in point
+order; a query with no copies gets the monoid unit.
+
+The answers come back as :class:`QueryResults`, two columns (ids and
+values) that read as a list of :class:`QueryResult`.
 
 The same chain runs on either backend :func:`make_backend` picks; the
 numpy backend calls each function's ``columns`` form, when it has one,
@@ -43,12 +50,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import product
-from operator import attrgetter
+from functools import partial
+from itertools import product, starmap
+from operator import attrgetter, getitem
 from typing import Any, NamedTuple
 
 from . import bits
-from .monoids import Monoid
+from .monoids import SUM, Monoid
 from .primitives import CountingBackend, Records, make_backend
 # binarize, the bitstring form of the ranks, is not part of the chain,
 # which works on integer prefix codes; it stays reachable here because
@@ -56,12 +64,13 @@ from .primitives import CountingBackend, Records, make_backend
 from .ranks import binarize, rank_dimension, width_for  # noqa: F401
 
 # Primitive invocations per run are a function of the dimension count
-# only: 9 per ranked dimension plus 10 fixed calls. The documented
+# only: 9 per ranked dimension plus 14 fixed calls. The documented
 # budget is the 6m+9 instruction outline plus the allowance below,
 # which covers what that outline leaves implicit (realignment of ranks
-# to input order, the tie-order sort and the final selection of each
-# query's total) for dimensions up to four.
-PLUMBING_CALLS = 13
+# to input order, the tie-order sort, the weight gather after the key
+# sort, and locating, selecting and ordering each query's total) for
+# dimensions up to four.
+PLUMBING_CALLS = 17
 
 
 class InputError(ValueError):
@@ -157,6 +166,39 @@ class QueryResult(NamedTuple):
     value: Any
 
 
+class QueryResults(Records):
+    """The answers of a run: two columns, ``ids`` ascending and the
+    aligned ``values``.
+
+    Reads as a sequence of :class:`QueryResult`: ``len()``, indexing and
+    iteration give them, and it compares equal to a list of them.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, ids, values):
+        super().__init__((ids, values))
+
+    @property
+    def ids(self):
+        return self.columns[0]
+
+    @property
+    def values(self):
+        return self.columns[1]
+
+    def __iter__(self):
+        return starmap(QueryResult, zip(*self.columns))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        return QueryResult(self.columns[0][i], self.columns[1][i])
+
+    def __repr__(self):
+        return f"QueryResults({list(self)!r})"
+
+
 @dataclass
 class ExpansionStats:
     """Size and instrumentation record for one pipeline run.
@@ -199,6 +241,14 @@ def weights_with_unit(dq, monoid: Monoid, backend):
     return backend.map(weight, dq)
 
 
+def _gather(values):
+    """Map function from an index to ``values[index]``; its ``columns``
+    form gathers a whole index column."""
+    at = partial(getitem, values)
+    at.columns = lambda index: values.take(index)
+    return at
+
+
 def run(data, queries, cfg: PipelineConfig):
     """Run the variant selected by ``cfg``; see :func:`run_basic`."""
     if cfg.variant == "basic":
@@ -213,10 +263,11 @@ def run_basic(data, queries, cfg: PipelineConfig):
 
     ``data`` and ``queries`` are :class:`PointTable` objects or iterables
     of :class:`Point`; either way they are turned into tables once
-    (:func:`point_table`) and validated column by column. Returns ``(results, stats)`` where ``results`` holds one
-    :class:`QueryResult` per query in ascending id order. Queries that
-    dominate nothing (including every query when ``data`` is empty) get
-    the monoid unit.
+    (:func:`point_table`) and validated column by column. Returns
+    ``(results, stats)`` where ``results`` is a :class:`QueryResults`,
+    one :class:`QueryResult` per query in ascending id order. Queries
+    that dominate nothing (including every query when ``data`` is empty)
+    get the monoid unit.
     """
     if cfg.variant != "basic":
         raise ValueError(f"run_basic called with variant {cfg.variant!r}")
@@ -279,7 +330,7 @@ def _run(data, queries, cfg: PipelineConfig, improved: bool):
 
     dq = b.concat(data, queries)
     if not dq:
-        return [], stats(0, ())
+        return QueryResults([], []), stats(0, ())
     dq = b.sort(dq, key=_tie_order(improved))
 
     ranks = []
@@ -290,29 +341,41 @@ def _run(data, queries, cfg: PipelineConfig, improved: bool):
         widths.append(width_for(unique))
     mark("rank")
 
+    n = len(dq)
     wts = weights_with_unit(dq, monoid, b)
-    edq = b.flatmap(_Expansion(widths), *ranks, dq, wts)
+    expansion = _Expansion(dq, ranks, widths)
+    edq = b.flatmap(expansion, range(n))
+    expanded = len(edq)
     mark("expand")
 
-    sedq = b.sort(edq)
+    keys, points = b.sort(edq).columns
+    del edq
     mark("sort")
 
     # One segmented scan keyed by the expanded key: every query copy
     # absorbs the weights of the data copies it collided with.
-    keys, ids, finals, weights = sedq.columns
-    a1 = b.segmented_scan(weights, keys, monoid)
+    a1 = b.segmented_scan(b.map(_gather(wts), points), keys, monoid)
+    del keys
 
-    # Regroup the partial aggregations by point id. The sort is stable,
-    # so each group keeps the expansion order, and the inclusive scan
-    # leaves a query's complete aggregation on its final copy.
-    ids, finals, partial = b.sort(b.zip(ids, finals, a1)).columns
-    totals = b.segmented_scan(partial, ids, monoid)
+    # Regroup the partial aggregations by point index. The sort is
+    # stable, so each point's rows stay together in key order, and the
+    # inclusive scan leaves a query's complete aggregation on the last
+    # row of its group.
+    points, grouped = b.sort(b.zip(points, a1)).columns
+    del a1
+    totals = b.segmented_scan(grouped, points, monoid)
+    del points, grouped
     mark("aggregate")
 
-    by_query = dict(b.flatmap(_final_row, finals, ids, totals))
-    results = [QueryResult(i, by_query.get(i, unit)) for i in sorted(queries.ids)]
+    # Point i's group holds its copies[i] rows and ends before row
+    # ends[i], the running count of copies in point order.
+    copies = b.map(_Copies(expansion), range(n))
+    ends = b.scan(copies, SUM)
+    rows = b.flatmap(_Total(totals, unit), dq, copies, ends)
+    del totals
+    ids, values = b.sort(rows).columns
     mark("project")
-    return results, stats(len(edq), widths)
+    return QueryResults(ids, values), stats(expanded, widths)
 
 
 def _tie_order(improved: bool):
@@ -327,53 +390,87 @@ def _tie_order(improved: bool):
 
 
 class _Expansion:
-    """Flatmap kernel: a point's expanded records ``(key, id, final, weight)``.
+    """Flatmap kernel: the expanded records ``(key, point)`` of the point
+    with index ``point``.
 
-    Called with a point's rank in each ranked dimension, the point and
-    its weight. The keys are the sums over the product of the point's
-    per-dimension prefix code lists, each code shifted to its field;
-    ``final`` marks a query's last (largest) key. Code lists are cached
-    per dimension, rank and role. :meth:`columns` is the same kernel over
-    whole columns, for the numpy backend.
+    The keys are the sums over the product of the point's per-dimension
+    prefix code lists (zero-prefixes for data, one-prefixes for queries),
+    each code shifted to its dimension's field, in the order
+    ``itertools.product`` gives. Code lists are cached per dimension,
+    rank and role. :meth:`columns` is the same kernel over whole columns,
+    for the numpy backend.
     """
 
-    def __init__(self, widths):
+    def __init__(self, dq, ranks, widths):
+        self.dq = dq
+        self.ranks = ranks
         self.widths = widths
-        self.offsets = bits.field_offsets(widths)
-        self.cache: dict = {}
+        self.shifts = bits.field_offsets(widths)
+        self._tables = None
+        self.arrays = None  # the tables as arrays, made by domscan.vector
 
-    def _codes(self, dim, rank, is_query):
-        got = self.cache.get((dim, rank, is_query))
-        if got is None:
-            shift = self.offsets[dim]
-            codes = bits.prefix_codes(rank - 1, self.widths[dim], int(is_query))
-            got = self.cache[(dim, rank, is_query)] = [c << shift for c in codes]
-        return got
+    @property
+    def tables(self) -> list:
+        """Per ranked dimension, each point's shifted code list."""
+        if self._tables is None:
+            self._tables = [
+                self._table(ranks, width, shift)
+                for ranks, width, shift in zip(self.ranks, self.widths, self.shifts)
+            ]
+        return self._tables
 
-    def __call__(self, *args):
-        *ranks, point, weight = args
-        flag = point.is_query
-        keys = list(map(sum, product(*(self._codes(d, r, flag) for d, r in enumerate(ranks)))))
-        count = len(keys)
-        final = [False] * count
-        if flag and count:
-            final[-1] = True
-        return Records((keys, [point.id] * count, final, [weight] * count))
+    def _table(self, ranks, width, shift):
+        cache: dict = {}
+        table = []
+        for rank, p in zip(ranks, self.dq):
+            codes = cache.get((rank, p.is_query))
+            if codes is None:
+                codes = bits.prefix_codes(rank - 1, width, int(p.is_query))
+                codes = cache[(rank, p.is_query)] = [c << shift for c in codes]
+            table.append(codes)
+        return table
 
-    def columns(self, *args):
+    def __call__(self, point):
+        keys = list(map(sum, product(*(table[point] for table in self.tables))))
+        return Records((keys, [point] * len(keys)))
+
+    def columns(self, points):
         from .vector import expand
 
-        *ranks, points, weights = args
-        return expand(self.widths, ranks, points, weights)
+        return expand(self, points)
 
 
-def _final_row(final, point_id, total):
-    """The ``(id, total)`` row of a query's final copy; nothing otherwise."""
-    return [(point_id, total)] if final else []
+class _Copies:
+    """Map kernel: the number of records the point with index ``point``
+    expands to, the product of its code counts."""
+
+    def __init__(self, expansion):
+        self.expansion = expansion
+
+    def __call__(self, point):
+        return math.prod(len(table[point]) for table in self.expansion.tables)
+
+    def columns(self, points):
+        from .vector import copy_counts
+
+        return copy_counts(self.expansion, points)
 
 
-# Over whole columns: one output row per set flag, gathered from its source row.
-_final_row.columns = lambda finals, ids, totals: (
-    finals.a,
-    lambda src, k: Records((ids.take(src), totals.take(src))),
-)
+class _Total:
+    """Flatmap kernel: a query's ``(id, total)`` row; nothing for a data
+    point. A query's total is the last row of its group in ``totals``,
+    or the monoid unit when it has no copies."""
+
+    def __init__(self, totals, unit):
+        self.totals = totals
+        self.unit = unit
+
+    def __call__(self, point, copies, end):
+        if not point.is_query:
+            return Records(([], []))
+        return Records(([point.id], [self.totals[end - 1] if copies else self.unit]))
+
+    def columns(self, points, copies, ends):
+        from .vector import select_totals
+
+        return select_totals(self.totals, points, copies, ends)

@@ -18,8 +18,9 @@ to the type of each value:
 
 Sequences are :class:`Column` objects: 1-D arrays that read like Python
 sequences (``len``, truth, iteration and indexing give Python values).
-Sorting is a stable lexsort, scans use ``ufunc.accumulate``, and flatmap
-uses ``repeat`` plus index arithmetic. Functions given to ``map`` are
+Sorting packs integer keys with the row index into one int64 and sorts
+those values (a lexsort where they do not fit), scans use
+``ufunc.accumulate``, and flatmap uses ``repeat`` plus index arithmetic. Functions given to ``map`` are
 called once on whole arrays, so they must be written with elementwise
 operators; a function that cannot be (a flatmap kernel, say) carries
 its whole-column form as a ``columns`` attribute.
@@ -197,45 +198,94 @@ def _column(x) -> Column:
     return x if isinstance(x, Column) else Column(_array(x))
 
 
-def _packed_order(keys, n: int):
-    """Stable sort order of integer key columns, or None when they do not
-    pack into int64.
-
-    The keys and the row index are packed into one int64 per row, so
-    every packed value is distinct and an unstable sort of them gives
-    the stable order.
-    """
-    index_bits = max(n - 1, 0).bit_length()
-    fields = []
-    total = index_bits
-    for k in keys:
-        if k.dtype.kind not in "biu":
+def _pack(columns):
+    """``(packed, fields)``: integer columns packed into one int64 per row,
+    the first column in the highest bits, so that packed values order
+    as the rows do lexicographically; ``fields`` holds what
+    :func:`_unpack` needs to read each column back. None when a column
+    is not integer or the columns need more than 63 bits."""
+    bounds = []
+    total = 0
+    for c in columns:
+        if c.dtype.kind not in "biu":
             return None
-        k = k.astype(np.int64)
-        low = int(k.min())
-        span_bits = (int(k.max()) - low).bit_length()
-        total += span_bits
+        low, high = int(c.min()), int(c.max())
+        width = (high - low).bit_length()
+        if low >= 0 and high.bit_length() == width:
+            low = 0  # nothing to gain from an offset
+        total += width
         if total > 63:
             return None
-        fields.append((k, low, span_bits))
-    packed = np.arange(n, dtype=np.int64)
-    shift = index_bits
-    for k, low, span_bits in reversed(fields):
-        packed |= (k - low) << shift
-        shift += span_bits
-    packed.sort()
-    return packed & ((1 << index_bits) - 1)
+        bounds.append((low, width))
+    packed = None
+    fields = []
+    shift = total
+    for c, (low, width) in zip(columns, bounds):
+        shift -= width
+        part = c - low if low else c.astype(np.int64)
+        if shift:
+            part <<= shift
+        if packed is None:
+            packed = part
+        else:
+            packed |= part
+        fields.append((shift, low, width))
+    return packed, fields
+
+
+def _unpack(packed, field):
+    shift, low, width = field
+    out = packed >> shift
+    out &= (1 << width) - 1
+    if low:
+        out += low
+    return out
 
 
 def _order(keys, n: int, reverse: bool):
-    """Stable sort order of rows under key columns, most significant first."""
+    """Stable sort order of rows under key columns, most significant first.
+
+    The keys are packed with the row index into one int64 per row where
+    they fit, so every packed value is distinct and an unstable sort of
+    them gives the stable order; otherwise it is a lexsort.
+    """
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     if reverse:
         # Stable descending: the ascending order of the reversed rows, reversed.
         return n - 1 - _order([k[::-1] for k in keys], n, False)[::-1]
-    order = _packed_order(keys, n)
-    return np.lexsort(keys[::-1]) if order is None else order
+    got = _pack([*keys, np.arange(n)])
+    if got is None:
+        return np.lexsort(keys[::-1])
+    packed, fields = got
+    packed.sort()
+    return _unpack(packed, fields[-1])
+
+
+def _sorted_records(columns: list[Column]) -> list[Column]:
+    """The columns of records sorted stably by the first column.
+
+    Where the int64 columns fit, they are packed into one int64 per row
+    together with the row index, placed after the key, so that every
+    packed value is distinct and sorting them gives the stable order;
+    the other columns ride in the low bits and come back out of the
+    sorted values without a gather. When the second and last column is
+    sorted already, equal keys keep their rows in its order, so it takes
+    the place of the row index.
+    """
+    arrays = [c.a for c in columns]
+    n = len(arrays[0])
+    if n > 1 and all(a.dtype == np.int64 for a in arrays):
+        indexed = not (len(arrays) == 2 and np.all(arrays[1][1:] >= arrays[1][:-1]))
+        got = _pack([arrays[0], np.arange(n), *arrays[1:]] if indexed else arrays)
+        if got is not None:
+            packed, fields = got
+            packed.sort()
+            if indexed:
+                del fields[1]
+            return [Column(_unpack(packed, f), c.decode) for f, c in zip(fields, columns)]
+    order = _order([arrays[0]], n, False)
+    return [c.take(order) for c in columns]
 
 
 def _ufunc(monoid):
@@ -269,8 +319,11 @@ class NumpyBackend:
         """Stable sort; :class:`Records` are ordered by their first column,
         :class:`PointColumns` by the columns ``key`` returns."""
         if isinstance(x, Records):
-            order = _order([_array(x.columns[0])], len(x), reverse)
-            return Records([_column(c).take(order) for c in x.columns])
+            columns = [_column(c) for c in x.columns]
+            if not reverse:
+                return Records(_sorted_records(columns))
+            order = _order([columns[0].a], len(x), reverse)
+            return Records([c.take(order) for c in columns])
         if isinstance(x, PointColumns):
             keys = key(x)
             keys = list(keys) if isinstance(keys, tuple) else [keys]
@@ -289,16 +342,14 @@ class NumpyBackend:
     def flatmap(self, f, *xs):
         """``f.columns(*xs)``, called with the inputs as :class:`Column`
         (or :class:`PointColumns`), returns ``(counts, item)``: how many
-        outputs each element makes, and ``item(src, k)``, the columns of
-        the outputs given, per output, its element's index ``src`` and
-        its index ``k`` among that element's outputs."""
+        outputs each element makes, and ``item(repeat)``, the columns of
+        the outputs given ``repeat``, which repeats an array aligned with
+        the elements by their counts."""
         if len(xs) > 1:
             _check_lengths(xs)
         counts, item = f.columns(*(x if isinstance(x, PointColumns) else _column(x) for x in xs))
         counts = np.asarray(counts, dtype=np.int64)
-        src = np.repeat(np.arange(len(counts)), counts)
-        starts = np.cumsum(counts) - counts
-        out = item(src, np.arange(len(src)) - starts[src])
+        out = item(lambda a: np.repeat(a, counts))
         return out if isinstance(out, (Records, Column)) else Column(np.asarray(out))
 
     def zip(self, *xs):
@@ -348,56 +399,92 @@ class NumpyBackend:
         starts = np.empty(n, dtype=bool)
         starts[0] = True
         np.not_equal(t[1:], t[:-1], out=starts[1:])
-        segment = np.cumsum(starts) - 1
+        first = np.flatnonzero(starts)
+        lengths = np.diff(first, append=n)
         if ufunc is np.add:
-            total = np.cumsum(a)
-            first = np.flatnonzero(starts)
-            out = total - (total[first] - a[first])[segment]
+            out = np.cumsum(a)
+            out -= np.repeat(out[first] - a[first], lengths)
             return Column(out, column.decode)
         values = None
         if a.dtype.kind not in "biu":
             values, a = np.unique(a, return_inverse=True)
         a = a.astype(np.int64)
         low = int(a.min())
-        offsets = segment * (int(a.max()) - low + 1)
+        a -= low
+        offsets = np.repeat(np.arange(len(first)) * (int(a.max()) + 1), lengths)
         if ufunc is np.maximum:
-            out = np.maximum.accumulate(a - low + offsets) - offsets + low
+            a += offsets
+            out = np.maximum.accumulate(a)
         else:
-            out = np.minimum.accumulate(a - low - offsets) + offsets + low
+            a -= offsets
+            out = np.minimum.accumulate(a)
+            np.negative(offsets, out=offsets)
+        out -= offsets
+        out += low
         return Column(out if values is None else values[out], column.decode)
 
 
-def expand(widths, ranks, points: PointColumns, weights: Column):
+def _code_arrays(expansion) -> list:
+    """Per ranked dimension of an expansion kernel (the pipeline's
+    ``_Expansion``), ``(codes, counts, starts)``: every point's shifted
+    prefix codes in one array, point by point and shortest prefix first,
+    and per point how many there are and where they start. Computed once
+    per kernel."""
+    if expansion.arrays is None:
+        role = expansion.dq.is_query[:, None]
+        expansion.arrays = []
+        for ranks, width, shift in zip(expansion.ranks, expansion.widths, expansion.shifts):
+            x = (ranks.a - 1)[:, None]
+            lengths = np.arange(width)
+            match = bits.next_bit(x, lengths, width) == role
+            codes = bits.prefix_code(x >> (width - lengths), lengths, width)[match] << shift
+            counts = match.sum(axis=1)
+            expansion.arrays.append((codes, counts, np.cumsum(counts) - counts))
+    return expansion.arrays
+
+
+def expand(expansion, points: Column):
     """Whole-column form of the pipeline's expansion kernel, for
-    :meth:`NumpyBackend.flatmap`.
+    :meth:`NumpyBackend.flatmap`, built in stages: starting from one
+    record ``(0, point)`` per point, each ranked dimension repeats every
+    record once per code of its point there and adds the codes, which
+    gives the records in the order ``itertools.product`` does."""
+    arrays = _code_arrays(expansion)
+    counts = copy_counts(expansion, points.a)
 
-    Each point makes one record per element of the product of its
-    per-dimension prefix code lists (zero-prefixes for data, one-
-    prefixes for queries), in the order ``itertools.product`` gives:
-    records ``(key, id, final, weight)``, where ``final`` marks a
-    query's last record.
-    """
-    n = len(points)
-    role = points.is_query
-    counts = np.ones(n, dtype=np.int64)
-    tables = []
-    for rank, width, offset in zip(ranks, widths, bits.field_offsets(widths)):
-        x = (rank.a - 1)[:, None]
-        lengths = np.arange(width)
-        match = bits.next_bit(x, lengths, width) == role[:, None]
-        codes = bits.prefix_code(x >> (width - lengths), lengths, width)[match] << offset
-        per_point = match.sum(axis=1)
-        tables.append((per_point, np.cumsum(per_point) - per_point, codes))
-        counts *= per_point
-
-    def item(src, k):
-        key = np.zeros(len(src), dtype=np.int64)
-        rest = k
-        for per_point, starts, codes in reversed(tables):
-            size = per_point[src]
-            key += codes[starts[src] + rest % size]
-            rest = rest // size
-        final = role[src] & (k == counts[src] - 1)
-        return Records((key, points.id[src], final, weights.take(src)))
+    def item(repeat):
+        key = np.zeros(len(points), dtype=np.int64)
+        owner = points.a
+        for codes, per_point, starts in arrays:
+            n = per_point[owner]
+            index = np.repeat(starts[owner] - (np.cumsum(n) - n), n)
+            index += np.arange(len(index))
+            key = np.repeat(key, n)
+            key += codes[index]
+            owner = np.repeat(owner, n)
+        return Records((Column(key), Column(owner)))
 
     return counts, item
+
+
+def copy_counts(expansion, points):
+    """How many records each point (an index array) expands to."""
+    out = np.ones(len(points), dtype=np.int64)
+    for _, counts, _ in _code_arrays(expansion):
+        out *= counts[points]
+    return out
+
+
+def select_totals(totals: Column, points: PointColumns, copies: Column, ends: Column):
+    """Whole-column form of the pipeline's final selection: one
+    ``(id, value)`` row per query, the value being the last row of its
+    group in ``totals`` or, for a query without copies, the unit its
+    weight slot holds."""
+
+    def item(repeat):
+        values = repeat(points.weight.a)
+        found = repeat(copies.a) > 0
+        values[found] = totals.a[repeat(ends.a)[found] - 1]
+        return Records((Column(repeat(points.id)), Column(values, points.weight.decode)))
+
+    return points.is_query, item

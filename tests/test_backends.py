@@ -85,8 +85,10 @@ def test_numpy_matches_sequential_call_by_call(variant, name, tmp_path):
         assert vec_stats.expanded_count == seq_stats.expanded_count
         for i, ((op, s), (_, v)) in enumerate(zip(seq_calls, vec_calls)):
             assert comparable(v) == comparable(s), (m, i, op)
-        # the sorted expansion is the sort right after the expansion flatmap
-        at = [op for op, _ in seq_calls].index("flatmap") + 1
+        # the sorted expansion is the key sort, two calls before the key scan
+        # (the weight gather comes between), however the expansion is staged
+        at = [op for op, _ in seq_calls].index("segmented_scan") - 2
+        assert seq_calls[at][0] == "sort" and len(seq_calls[at][1]) == seq_stats.expanded_count
         assert list(vec_calls[at][1]) == list(seq_calls[at][1])
         # The same points read back from files, as point tables, run the same.
         write_instance(*paths, data, queries, m)
@@ -239,7 +241,11 @@ def test_numpy_flatmap_repeats_and_indexes():
         return [(n, k) for k in range(n)]
 
     def pair_columns(a):
-        return a.a, lambda src, k: Records((a.a[src], k))
+        def item(repeat):
+            k = np.arange(a.a.sum()) - repeat(np.cumsum(a.a) - a.a)
+            return Records((repeat(a.a), k))
+
+        return a.a, item
 
     pairs.columns = pair_columns
     xs = [2, 0, 3, 1]

@@ -189,11 +189,49 @@ def test_verify_mismatch_reports_exact_values_and_tolerance(tmp_path, capsys, mo
     assert main(["verify", d, q, "--monoid", "sum"]) == EXIT_MISMATCH
     data, queries = read_points(d, queries=False), read_points(q, queries=True)
     want = brute_force(data, queries, FLOAT_SUM)[1000] + 1e-3
-    out = capsys.readouterr().out
-    assert out.startswith("mismatch at query 1000: pipeline ")
-    assert out.endswith(f", reference {want!r} (fsum, compared within tolerance 1e-09)\n")
+    first, summary = capsys.readouterr().out.splitlines()
+    assert first.startswith("mismatch at query 1000: pipeline ")
+    assert first.endswith(f", reference {want!r} (fsum, compared within tolerance 1e-09)")
+    # a query that dominates nothing: pipeline 0.0 against 0.001
+    assert summary.startswith("300 of 300 queries mismatch; worst relative error 1 at query ")
+    assert summary.endswith("; first mismatching ids: 1000, 1001, 1002, 1003, 1004")
     assert main(["verify", *FIXTURE, "--monoid", "sum"]) == EXIT_MISMATCH
-    assert capsys.readouterr().out == "mismatch at query 3: pipeline 1, reference 1.001 (sum, compared exactly)\n"
+    assert capsys.readouterr().out == (
+        "mismatch at query 3: pipeline 1, reference 1.001 (sum, compared exactly)\n"
+        "3 of 3 queries mismatch; worst relative error 0.000999 at query 3;"
+        " first mismatching ids: 3, 4, 5\n"
+    )
+
+
+def test_verify_reports_every_mismatch(tmp_path, capsys, monkeypatch):
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    assert main(["gen", "--n", "40", "--q", "40", "--seed", "3", "--data", str(d), "--queries", str(q)]) == EXIT_OK
+    brute_force = domscan.cli.brute_force
+    wrong = {}
+
+    def corrupted(*args):
+        expected = brute_force(*args)
+        for i, qid in enumerate(sorted(expected)):
+            if i % 6 == 1:  # 7 of 40: every sixth query from the second on
+                wrong[qid] = expected[qid]
+                expected[qid] = 2 * expected[qid] if expected[qid] else 10
+        return expected
+
+    monkeypatch.setattr(domscan.cli, "brute_force", corrupted)
+    for variant in ("basic", "improved"):
+        wrong.clear()
+        assert main(["verify", str(d), str(q), "--monoid", "sum", "--variant", variant]) == EXIT_MISMATCH
+        lines = capsys.readouterr().out.splitlines()
+        ids = sorted(wrong)
+        first = ids[0]
+        assert lines[0] == f"mismatch at query {first}: pipeline {wrong[first]}, reference {2 * wrong[first] or 10} (sum, compared exactly)"
+        # doubled references are off by 0.5; a reference of 10 against 0 by 1
+        worst = next((i for i in ids if wrong[i] == 0), ids[0])
+        assert lines[1] == (
+            f"7 of 40 queries mismatch; worst relative error {1 if wrong[worst] == 0 else 0.5:.3g}"
+            f" at query {worst}; first mismatching ids: {', '.join(map(str, ids[:5]))}"
+        )
+        assert len(lines) == 2
 
 
 def test_missing_or_unreadable_input_file(tmp_path, capsys):

@@ -127,3 +127,21 @@ def test_read_points_matches_the_line_by_line_reference(case):
     if isinstance(want, list) and want:
         # a file without a bad row never needs the line-by-line parse
         assert not lines.called
+
+
+def test_result_lines_format_whole_columns_as_each_value_would_be():
+    from backends import BACKENDS, run_on
+    from domscan.datafiles import format_value, generate_instance, result_lines
+    from domscan.monoids import MONOIDS
+    from domscan.pipeline import PipelineConfig, Point
+
+    data, queries = generate_instance(40, 40, 2, seed=5, distribution="gridded")
+    floats = [Point(p.id, p.coords, p.weight / 8 - 3.3, False) for p in data]
+    for name, monoid in MONOIDS.items():
+        for weighted in (data, floats):
+            for backend in BACKENDS:
+                res, _ = run_on(backend, weighted, queries, PipelineConfig(2, monoid, "basic"))
+                lines = result_lines(res)
+                assert lines == [f"{r.id},{format_value(r.value)}" for r in res]
+                assert result_lines(list(res)) == lines
+    assert result_lines([]) == []

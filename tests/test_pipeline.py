@@ -14,6 +14,7 @@ from domscan.pipeline import (
     InputError,
     PipelineConfig,
     Point,
+    QueryResult,
     data_point,
     query_point,
     run,
@@ -346,12 +347,13 @@ def test_stats_shape_and_call_counts():
     assert len(stats.widths) == 2
     assert stats.expanded_count > 0
     assert stats.elements_processed > stats.expanded_count
-    assert stats.primitive_calls == 9 * 2 + 10
+    assert stats.primitive_calls == 9 * 2 + 14
     _, stats_improved = run_improved(data, queries, cfg(2, variant="improved"))
-    assert stats_improved.primitive_calls == 9 * 1 + 10
+    assert stats_improved.primitive_calls == 9 * 1 + 14
     assert len(stats_improved.widths) == 1
     for m in (1, 2, 3, 4):
-        assert 9 * m + 10 <= 6 * m + 9 + PLUMBING_CALLS
+        assert 9 * m + 14 <= 6 * m + 9 + PLUMBING_CALLS
+    assert 9 * 4 + 14 > 6 * 4 + 9 + (PLUMBING_CALLS - 1)  # the least allowance that fits
 
 
 def test_results_are_ascending_by_query_id():
@@ -361,3 +363,57 @@ def test_results_are_ascending_by_query_id():
     res, _ = run_basic(data, queries, cfg(2))
     ids = [r.id for r in res]
     assert ids == sorted(ids)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_query_without_copies_gets_the_unit(variant, backend):
+    # Query 10 has the smallest first coordinate: rank 1, whose 0-based
+    # rank 0 has no one-prefixes, so it expands to no records at all.
+    data = [data_point(0, (1.0, 1.0), 5), data_point(1, (2.0, 2.0), 7), data_point(2, (3.0, 0.5), -2)]
+    lone = query_point(10, (0.0, 5.0))
+    queries = [lone, query_point(11, (5.0, 0.0)), query_point(12, (5.0, 5.0))]
+    for name, monoid in MONOIDS.items():
+        weighted = [Point(p.id, p.coords, p.weight + 1 / 3 if name == "fsum" else p.weight, False) for p in data]
+        c = cfg(2, monoid, variant=variant)
+        res, _ = run_on(backend, weighted, queries, c)
+        assert results_dict(res) == brute_force(weighted, queries, monoid)
+        assert repr(res[0]) == repr(QueryResult(10, monoid.unit)), name
+        assert repr(res[1]) == repr(QueryResult(11, monoid.unit)), name
+        # a twin leaves every rank as it is and adds as many records as the query has
+        twin = query_point(13, lone.coords)
+        sizes = [run_on(backend, weighted, qs, c)[1].expanded_count for qs in ([lone], [lone, twin])]
+        assert sizes[0] == sizes[1]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_improved_tie_order_against_id_order_still_answers_by_id(backend):
+    # The improved variant orders points by their last coordinate, which
+    # here falls as the id rises, so the tie order reverses id order.
+    rng = random.Random(12)
+    data = [data_point(i, (rng.random(), rng.random()), rng.randint(-9, 9)) for i in range(30)]
+    queries = [query_point(100 + i, (rng.random(), 1.0 - i / 20)) for i in range(20)]
+    for monoid in (COUNT, SUM, MIN, MAX):
+        res, _ = run_on(backend, data, queries, cfg(2, monoid, variant="improved"))
+        assert [r.id for r in res] == list(range(100, 120))
+        assert results_dict(res) == brute_force(data, queries, monoid)
+
+
+def test_result_object_contract():
+    data, queries = fixture_2d()
+    want = [QueryResult(3, 1), QueryResult(4, 1), QueryResult(5, 3)]
+    reprs = set()
+    for backend in BACKENDS:
+        for variant in ("basic", "improved"):
+            res, _ = run_on(backend, data, queries[::-1], cfg(2, variant=variant))
+            assert len(res) == 3
+            assert res[0] == want[0] and res[-1] == want[-1] and res[1].value == 1
+            assert type(res[0]) is QueryResult and type(res[0].id) is int and type(res[0].value) is int
+            assert list(res) == want and res[1:] == want[1:]
+            assert res == want and want == res and res == [(3, 1), (4, 1), (5, 3)]
+            assert res != want[:2] and res != [QueryResult(3, 1), QueryResult(4, 2), QueryResult(5, 3)]
+            reprs.add(repr(res))
+            empty, _ = run_on(backend, data, [], cfg(2, variant=variant))
+            assert empty == [] and len(empty) == 0 and list(empty) == []
+            assert repr(empty) == "QueryResults([])"
+    assert reprs == {f"QueryResults({want!r})"}
