@@ -18,8 +18,6 @@ from .pipeline import (
     data_point,
     query_point,
     run,
-    run_basic,
-    run_improved,
 )
 from .primitives import (
     CountingBackend,
@@ -48,8 +46,6 @@ __all__ = [
     "data_point",
     "query_point",
     "run",
-    "run_basic",
-    "run_improved",
     "brute_force",
     "brute_force_ranks",
     "__version__",

@@ -64,13 +64,13 @@ from .primitives import CountingBackend, Records, make_backend
 from .ranks import binarize, rank_dimension, width_for  # noqa: F401
 
 # Primitive invocations per run are a function of the dimension count
-# only: 9 per ranked dimension plus 14 fixed calls. The documented
+# only: 8 per ranked dimension plus 14 fixed calls. The documented
 # budget is the 6m+9 instruction outline plus the allowance below,
 # which covers what that outline leaves implicit (realignment of ranks
 # to input order, the tie-order sort, the weight gather after the key
 # sort, and locating, selecting and ordering each query's total) for
 # dimensions up to four.
-PLUMBING_CALLS = 17
+PLUMBING_CALLS = 13
 
 
 class InputError(ValueError):
@@ -249,40 +249,6 @@ def _gather(values):
     return at
 
 
-def run(data, queries, cfg: PipelineConfig):
-    """Run the variant selected by ``cfg``; see :func:`run_basic`."""
-    if cfg.variant == "basic":
-        return run_basic(data, queries, cfg)
-    if cfg.variant == "improved":
-        return run_improved(data, queries, cfg)
-    raise ValueError(f"unknown variant {cfg.variant!r}")
-
-
-def run_basic(data, queries, cfg: PipelineConfig):
-    """Aggregate over dominated points with all dimensions rank-encoded.
-
-    ``data`` and ``queries`` are :class:`PointTable` objects or iterables
-    of :class:`Point`; either way they are turned into tables once
-    (:func:`point_table`) and validated column by column. Returns
-    ``(results, stats)`` where ``results`` is a :class:`QueryResults`,
-    one :class:`QueryResult` per query in ascending id order. Queries
-    that dominate nothing (including every query when ``data`` is empty)
-    get the monoid unit.
-    """
-    if cfg.variant != "basic":
-        raise ValueError(f"run_basic called with variant {cfg.variant!r}")
-    return _run(data, queries, cfg, improved=False)
-
-
-def run_improved(data, queries, cfg: PipelineConfig):
-    """Same contract as :func:`run_basic`, with the final coordinate kept
-    as a raw real number instead of being rank-encoded, shrinking the
-    expansion by about that dimension's bit width."""
-    if cfg.variant != "improved":
-        raise ValueError(f"run_improved called with variant {cfg.variant!r}")
-    return _run(data, queries, cfg, improved=True)
-
-
 def _validate(data: PointTable, queries: PointTable) -> None:
     """Reject NaN coordinates, NaN weights and repeated ids. Each check
     scans whole columns; only a failing one walks the points, to name
@@ -303,7 +269,24 @@ def _validate(data: PointTable, queries: PointTable) -> None:
             seen.add(i)
 
 
-def _run(data, queries, cfg: PipelineConfig, improved: bool):
+def run(data, queries, cfg: PipelineConfig):
+    """Aggregate over dominated points with the variant ``cfg`` selects.
+
+    ``data`` and ``queries`` are :class:`PointTable` objects or iterables
+    of :class:`Point`; either way they are turned into tables once
+    (:func:`point_table`) and validated column by column. Returns
+    ``(results, stats)`` where ``results`` is a :class:`QueryResults`,
+    one :class:`QueryResult` per query in ascending id order. Queries
+    that dominate nothing (including every query when ``data`` is empty)
+    get the monoid unit.
+
+    The basic variant rank-encodes all dimensions; the improved variant
+    keeps the final coordinate as a raw real number, shrinking the
+    expansion by about that dimension's bit width.
+    """
+    if cfg.variant not in ("basic", "improved"):
+        raise ValueError(f"unknown variant {cfg.variant!r}")
+    improved = cfg.variant == "improved"
     if cfg.dims < 1:
         raise InputError("dims must be at least 1")
     data = point_table(data, False, cfg.dims)

@@ -6,6 +6,10 @@ fresh lists; callers are expected to treat every sequence as immutable.
 Two sequences are equal exactly when they have the same length and
 pairwise-equal elements.
 
+The contract is the set of operations the pipeline's chain calls:
+``concat``, ``sort``, ``map``, ``flatmap``, ``zip``, ``scan``,
+``exclusive_scan`` and ``segmented_scan``.
+
 :class:`SequentialBackend` implements the contract with one
 left-to-right pass per operation. Sorting is stable: ties under ``key``
 keep their input order.
@@ -26,13 +30,10 @@ contract over whole columns.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, groupby, islice
-from operator import itemgetter, ne
+from itertools import accumulate, chain, islice
 
-from .monoids import MAX, Monoid
+from .monoids import Monoid
 
-_tag_of = itemgetter(0)
-_val_of = itemgetter(1)
 _NO_TAG = object()  # compares unequal to every real tag
 
 
@@ -79,13 +80,13 @@ class SequentialBackend:
 
     name = "seq"
 
-    def sort(self, x, key=None, reverse=False):
-        """Sorted copy of ``x``; nondecreasing under ``key`` (or the
-        elements' natural order), nonincreasing with ``reverse``.
-        :class:`Records` are ordered stably by their first column."""
+    def sort(self, x, key=None):
+        """Sorted copy of ``x``, nondecreasing under ``key`` (or the
+        elements' natural order). :class:`Records` are ordered stably by
+        their first column."""
         if not isinstance(x, Records):
-            return sorted(x, key=key, reverse=reverse)
-        order = sorted(range(len(x)), key=x.columns[0].__getitem__, reverse=reverse)
+            return sorted(x, key=key)
+        order = sorted(range(len(x)), key=x.columns[0].__getitem__)
         return Records([list(map(c.__getitem__, order)) for c in x.columns])
 
     def map(self, f, *xs):
@@ -134,59 +135,31 @@ class SequentialBackend:
         unit and x[0..i-1]; element 0 is the unit."""
         return list(islice(accumulate(x, monoid.combine, initial=monoid.unit), len(x)))
 
-    def shift(self, x):
-        """Right shift of a nondecreasing numeric sequence, realized as an
-        exclusive max-scan: [-inf, x[0], ..., x[n-2]]."""
-        return self.exclusive_scan(x, MAX)
-
-    def broadcast_max(self, x):
-        """Every position holds max(x): descending sort, then max-scan.
-
-        >>> SequentialBackend().broadcast_max([3, 1, 2])
-        [3, 3, 3]
-        """
-        return self.scan(self.sort(x, reverse=True), MAX)
-
     def segmented_scan(self, x, tags, monoid: Monoid):
         """Inclusive scan restarted at every change of tag.
 
         ``tags`` must be sorted (equal tags contiguous) and as long as
         ``x``; each maximal run of equal tags is scanned independently.
-
-        Two interchangeable strategies: a fused per-element loop, and
-        per-run accumulation whose inner loop runs in C but pays a setup
-        cost per run. A cheap run census picks whichever fits the
-        segment shape.
         """
         if len(x) != len(tags):
             raise ValueError(f"sequences have different lengths: [{len(x)}, {len(tags)}]")
-        n = len(x)
-        if n == 0:
-            return []
         combine = monoid.combine
-        runs = 1 + sum(map(ne, islice(tags, 1, None), tags))
-        if runs * 8 >= n:
-            out: list = []
-            append = out.append
-            prev = _NO_TAG
-            acc = None
-            for tag, value in zip(tags, x):
-                acc = combine(acc, value) if tag == prev else value
-                prev = tag
-                append(acc)
-            return out
-        out = []
-        emit = out.extend
-        for _, run in groupby(zip(tags, x), key=_tag_of):
-            emit(accumulate(map(_val_of, run), combine))
+        out: list = []
+        append = out.append
+        prev = _NO_TAG
+        acc = None
+        for tag, value in zip(tags, x):
+            acc = combine(acc, value) if tag == prev else value
+            prev = tag
+            append(acc)
         return out
 
 
 class CountingBackend:
     """Instrumentation wrapper around a backend.
 
-    ``calls`` counts operations invoked through the wrapper; composite
-    operations (shift, broadcast_max, multi-sequence map) count once.
+    ``calls`` counts operations invoked through the wrapper; a map or
+    flatmap over several sequences counts once.
     ``elements`` accumulates, per call, the lengths of all sequence
     arguments plus the length of the result.
     """
@@ -201,8 +174,8 @@ class CountingBackend:
         self.elements += sum(len(s) for s in seqs) + len(out)
         return out
 
-    def sort(self, x, key=None, reverse=False):
-        return self._tally(self.inner.sort(x, key=key, reverse=reverse), (x,))
+    def sort(self, x, key=None):
+        return self._tally(self.inner.sort(x, key=key), (x,))
 
     def map(self, f, *xs):
         return self._tally(self.inner.map(f, *xs), xs)
@@ -222,18 +195,14 @@ class CountingBackend:
     def exclusive_scan(self, x, monoid):
         return self._tally(self.inner.exclusive_scan(x, monoid), (x,))
 
-    def shift(self, x):
-        return self._tally(self.inner.shift(x), (x,))
-
-    def broadcast_max(self, x):
-        return self._tally(self.inner.broadcast_max(x), (x,))
-
     def segmented_scan(self, x, tags, monoid):
         return self._tally(self.inner.segmented_scan(x, tags, monoid), (x, tags))
 
 
-def make_backend(data=(), queries=(), monoid=None, ranked=0):
-    """The backend a pipeline run computes with, chosen from its input.
+def make_backend(data, queries, monoid, ranked):
+    """The backend a pipeline run computes with, chosen from its input:
+    two :class:`~domscan.pipeline.PointTable` objects, the monoid and the
+    number of ranked dimensions.
 
     The numpy backend runs when numpy imports, the monoid has a vector
     form (``monoid.ufunc``: count, integer sum, min, max) and the input
@@ -245,7 +214,7 @@ def make_backend(data=(), queries=(), monoid=None, ranked=0):
     The pipeline gets its backend only here, so wrapping this function
     (as the benchmark's tracer does) sees every primitive call.
     """
-    if monoid is not None and monoid.ufunc is not None and (data or queries):
+    if monoid.ufunc is not None and (data or queries):
         try:
             from .vector import NumpyBackend
         except ImportError:

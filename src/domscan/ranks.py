@@ -11,7 +11,7 @@ encodes ranks as integer prefix codes (``bits.prefix_codes``);
 from __future__ import annotations
 
 from .bits import bin_fixed
-from .monoids import SUM
+from .monoids import MAX, SUM
 
 
 def width_for(unique: int) -> int:
@@ -21,7 +21,7 @@ def width_for(unique: int) -> int:
 
 def _opens_rank(prev, cur, position):
     # 1 where a new distinct value starts. The first element always opens
-    # a rank: its shifted predecessor is the max unit -inf, which a -inf
+    # a rank: its predecessor is the max unit -inf, which a -inf
     # coordinate does not exceed. Only elementwise operators, so it also
     # reads whole columns.
     return ((prev < cur) | (position == 0)) * 1
@@ -35,9 +35,10 @@ def rank_dimension(dq, dim: int, backend):
     coordinates receive equal ranks.
 
     Built from sequence primitives only: pair each coordinate with its
-    original position, sort, compare every element with its shifted
-    predecessor, prefix-sum the difference flags, then sort the ranks
-    back into the original order.
+    original position, sort, take every element's predecessor from an
+    exclusive max-scan, prefix-sum the flags marking where a new value
+    starts, then sort the ranks back into the original order. The flag
+    sum never decreases, so its last element is ``unique``.
     """
     if not dq:
         raise ValueError("rank_dimension: empty input")
@@ -45,10 +46,10 @@ def rank_dimension(dq, dim: int, backend):
     n = len(dq)
     coords = b.map(lambda p: p.coords[dim], dq)
     scoords, positions = b.sort(b.zip(coords, range(n))).columns
-    prev = b.shift(scoords)
+    prev = b.exclusive_scan(scoords, MAX)
     flags = b.map(_opens_rank, prev, scoords, range(n))
     sorted_ranks = b.scan(flags, SUM)
-    unique = b.broadcast_max(sorted_ranks)[-1]
+    unique = sorted_ranks[-1]
     restored = b.sort(b.zip(positions, sorted_ranks))
     return restored.columns[1], unique
 

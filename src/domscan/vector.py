@@ -3,13 +3,13 @@
 :func:`domscan.primitives.make_backend` imports this module on the
 first run that qualifies, so ``import domscan`` never loads numpy.
 
-A backend is built for one run's input (:meth:`NumpyBackend.for_input`),
-whose points it converts to :class:`PointColumns`; it is built only
-when the conversion keeps every result of the sequential backend, down
-to the type of each value:
+A backend is built for one run's point tables
+(:meth:`NumpyBackend.for_input`), which it converts to
+:class:`PointColumns`; it is built only when the conversion keeps every
+result of the sequential backend, down to the type of each value:
 
 - every coordinate round-trips through float64 exactly, and every id
-  through int64;
+  is an ``int`` that fits int64;
 - count and sum weights are ``int``; min and max weights are all ``int``
   (each round-tripping through float64) or all ``float`` (no NaN, no
   -0.0), so equal weights have equal ``repr``;
@@ -33,7 +33,6 @@ import math
 import numpy as np
 
 from . import bits
-from .pipeline import PointTable, point_table
 from .primitives import Records, _check_lengths
 from .ranks import width_for
 
@@ -164,12 +163,14 @@ def point_columns(data, queries, monoid, ranked: int) -> PointColumns | None:
     n = len(data) + len(queries)
     columns = [a + b for a, b in zip(data.coords, queries.coords)]
     id_list = data.ids + queries.ids
+    if not set(map(type, id_list)) <= {int}:
+        return None
     try:
         coords = np.array(columns, dtype=np.float64)
         ids = np.array(id_list, dtype=np.int64)
     except (TypeError, ValueError, OverflowError):
         return None
-    if coords.tolist() != columns or ids.tolist() != id_list:
+    if coords.tolist() != columns:
         return None
     weighted = _weights(data.weights, len(queries), monoid)
     if weighted is None:
@@ -242,7 +243,7 @@ def _unpack(packed, field):
     return out
 
 
-def _order(keys, n: int, reverse: bool):
+def _order(keys, n: int):
     """Stable sort order of rows under key columns, most significant first.
 
     The keys are packed with the row index into one int64 per row where
@@ -251,9 +252,6 @@ def _order(keys, n: int, reverse: bool):
     """
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    if reverse:
-        # Stable descending: the ascending order of the reversed rows, reversed.
-        return n - 1 - _order([k[::-1] for k in keys], n, False)[::-1]
     got = _pack([*keys, np.arange(n)])
     if got is None:
         return np.lexsort(keys[::-1])
@@ -284,7 +282,7 @@ def _sorted_records(columns: list[Column]) -> list[Column]:
             if indexed:
                 del fields[1]
             return [Column(_unpack(packed, f), c.decode) for f, c in zip(fields, columns)]
-    order = _order([arrays[0]], n, False)
+    order = _order([arrays[0]], n)
     return [c.take(order) for c in columns]
 
 
@@ -304,33 +302,23 @@ class NumpyBackend:
 
     @classmethod
     def for_input(cls, data, queries, monoid, ranked: int):
-        """A backend for one run, or None when the run must stay sequential.
-
-        ``data`` and ``queries`` are the run's point tables, or lists of
-        points, which are converted here."""
-        tables = data, queries
-        if not isinstance(data, PointTable):
-            dims = len(next(iter((*data, *queries))).coords)
-            tables = point_table(data, False, dims), point_table(queries, True, dims)
-        points = point_columns(*tables, monoid, ranked)
+        """A backend for one run's point tables, or None when the run
+        must stay sequential."""
+        points = point_columns(data, queries, monoid, ranked)
         return None if points is None else cls(data, queries, points)
 
-    def sort(self, x, key=None, reverse=False):
+    def sort(self, x, key=None):
         """Stable sort; :class:`Records` are ordered by their first column,
         :class:`PointColumns` by the columns ``key`` returns."""
         if isinstance(x, Records):
-            columns = [_column(c) for c in x.columns]
-            if not reverse:
-                return Records(_sorted_records(columns))
-            order = _order([columns[0].a], len(x), reverse)
-            return Records([c.take(order) for c in columns])
+            return Records(_sorted_records([_column(c) for c in x.columns]))
         if isinstance(x, PointColumns):
             keys = key(x)
             keys = list(keys) if isinstance(keys, tuple) else [keys]
-            return x.take(_order(keys, len(x), reverse))
+            return x.take(_order(keys, len(x)))
         x = _column(x)
         keys = [x.a if key is None else _array(key(x.a))]
-        return x.take(_order(keys, len(x), reverse))
+        return x.take(_order(keys, len(x)))
 
     def map(self, f, *xs):
         """``f`` (or its ``columns`` form) applied once to whole arrays."""
@@ -372,14 +360,6 @@ class NumpyBackend:
             return Column(a)
         done = _ufunc(monoid).accumulate(a)
         return Column(np.concatenate(([monoid.unit], done[:-1])))
-
-    def shift(self, x):
-        a = _array(x)
-        return Column(np.concatenate(([-np.inf], a[:-1])) if len(a) else a.astype(np.float64))
-
-    def broadcast_max(self, x):
-        a = _array(x)
-        return Column(np.full(len(a), a.max()) if len(a) else a)
 
     def segmented_scan(self, x, tags, monoid):
         """Inclusive scan restarted at every change of tag.

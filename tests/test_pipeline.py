@@ -18,8 +18,6 @@ from domscan.pipeline import (
     data_point,
     query_point,
     run,
-    run_basic,
-    run_improved,
     weights_with_unit,
 )
 from domscan.primitives import SequentialBackend
@@ -53,7 +51,7 @@ def random_instance(rng, n_data, n_queries, m, grid=False, weights=(0, 100)):
 
 def test_basic_two_dimensional_counts():
     data, queries = fixture_2d()
-    res, stats = run_basic(data, queries, cfg(2))
+    res, stats = run(data, queries, cfg(2))
     assert results_dict(res) == {3: 1, 4: 1, 5: 3}
     assert [r.id for r in res] == [3, 4, 5]
     assert stats.data_count == 3 and stats.query_count == 3
@@ -61,39 +59,39 @@ def test_basic_two_dimensional_counts():
 
 def test_empty_queries():
     data, _ = fixture_2d()
-    res, _ = run_basic(data, [], cfg(2))
+    res, _ = run(data, [], cfg(2))
     assert res == []
 
 
 def test_empty_data_yields_units():
     _, queries = fixture_2d()
     for monoid in (COUNT, MAX, MIN):
-        res, _ = run_basic([], queries, cfg(2, monoid))
+        res, _ = run([], queries, cfg(2, monoid))
         assert all(r.value == monoid.unit for r in res)
         assert len(res) == 3
 
 
 def test_both_empty():
-    res, stats = run_basic([], [], cfg(2))
+    res, stats = run([], [], cfg(2))
     assert res == [] and stats.expanded_count == 0
 
 
 def test_improved_matches_basic_on_fixture():
     data, queries = fixture_2d()
-    basic, _ = run_basic(data, queries, cfg(2))
-    improved, _ = run_improved(data, queries, cfg(2, variant="improved"))
+    basic, _ = run(data, queries, cfg(2))
+    improved, _ = run(data, queries, cfg(2, variant="improved"))
     assert basic == improved
 
 
 def test_improved_one_dimension():
     data = [data_point(i, (float(c),)) for i, c in enumerate((1, 2, 3))]
     queries = [query_point(10, (2.0,)), query_point(11, (4.0,))]
-    res, _ = run_improved(data, queries, cfg(1, variant="improved"))
+    res, _ = run(data, queries, cfg(1, variant="improved"))
     assert results_dict(res) == {10: 1, 11: 3}
 
 
 def test_improved_one_dimension_tie_is_strict():
-    res, _ = run_improved(
+    res, _ = run(
         [data_point(0, (5.0,))], [query_point(1, (5.0,))], cfg(1, variant="improved")
     )
     assert results_dict(res) == {1: 0}
@@ -101,11 +99,6 @@ def test_improved_one_dimension_tie_is_strict():
 
 def test_variant_dispatch_and_mismatch():
     data, queries = fixture_2d()
-    assert run(data, queries, cfg(2))[0] == run_basic(data, queries, cfg(2))[0]
-    with pytest.raises(ValueError, match="variant"):
-        run_basic(data, queries, cfg(2, variant="improved"))
-    with pytest.raises(ValueError, match="variant"):
-        run_improved(data, queries, cfg(2))
     with pytest.raises(ValueError, match="variant"):
         run(data, queries, cfg(2, variant="bogus"))
 
@@ -143,7 +136,7 @@ def test_all_coordinates_equal_everywhere():
 def test_duplicate_points_each_contribute():
     data = [data_point(0, (1.0, 1.0), 2), data_point(1, (1.0, 1.0), 3)]
     queries = [query_point(5, (2.0, 2.0))]
-    res, _ = run_basic(data, queries, cfg(2, monoid=SUM))
+    res, _ = run(data, queries, cfg(2, monoid=SUM))
     assert results_dict(res) == {5: 5}
 
 
@@ -176,7 +169,7 @@ def test_count_is_monotone_in_the_query():
     rng = random.Random(3)
     data, _ = random_instance(rng, 80, 0, 3)
     queries = [query_point(500, (0.3, 0.4, 0.5)), query_point(501, (0.6, 0.7, 0.9))]
-    res, _ = run_basic(data, queries, cfg(3))
+    res, _ = run(data, queries, cfg(3))
     got = results_dict(res)
     assert got[500] <= got[501]
 
@@ -184,9 +177,9 @@ def test_count_is_monotone_in_the_query():
 def test_extra_queries_do_not_disturb_existing_ones():
     rng = random.Random(7)
     data, queries = random_instance(rng, 50, 20, 2)
-    base, _ = run_basic(data, queries, cfg(2))
+    base, _ = run(data, queries, cfg(2))
     more = queries + [query_point(20_000 + i, (rng.random(), rng.random())) for i in range(15)]
-    bigger, _ = run_basic(data, more, cfg(2))
+    bigger, _ = run(data, more, cfg(2))
     bigger_by_id = results_dict(bigger)
     for r in base:
         assert bigger_by_id[r.id] == r.value
@@ -322,45 +315,45 @@ def test_negative_weight_reaches_sum_and_min():
     data = [data_point(0, (1.0,), -5)]
     queries = [query_point(1, (2.0,))]
     for monoid in (SUM, MIN):
-        res, _ = run_basic(data, queries, cfg(1, monoid))
+        res, _ = run(data, queries, cfg(1, monoid))
         assert results_dict(res) == {1: -5}
 
 
 def test_validation_errors():
     data, queries = fixture_2d()
     with pytest.raises(ValueError, match="duplicate"):
-        run_basic(data + [data_point(3, (9, 9))], queries, cfg(2))
+        run(data + [data_point(3, (9, 9))], queries, cfg(2))
     with pytest.raises(ValueError, match="coordinates"):
-        run_basic([data_point(0, (1, 2, 3))], queries, cfg(2))
+        run([data_point(0, (1, 2, 3))], queries, cfg(2))
     with pytest.raises(ValueError, match="dims"):
-        run_basic([], [], cfg(0))
+        run([], [], cfg(0))
     with pytest.raises(ValueError, match="query point"):
-        run_basic([query_point(0, (1, 1))], [], cfg(2))
+        run([query_point(0, (1, 1))], [], cfg(2))
     with pytest.raises(ValueError, match="data point"):
-        run_basic([], [data_point(0, (1, 1))], cfg(2))
+        run([], [data_point(0, (1, 1))], cfg(2))
 
 
 def test_stats_shape_and_call_counts():
     data, queries = fixture_2d()
-    res, stats = run_basic(data, queries, cfg(2))
+    res, stats = run(data, queries, cfg(2))
     assert stats.widths and all(w >= 1 for w in stats.widths)
     assert len(stats.widths) == 2
     assert stats.expanded_count > 0
     assert stats.elements_processed > stats.expanded_count
-    assert stats.primitive_calls == 9 * 2 + 14
-    _, stats_improved = run_improved(data, queries, cfg(2, variant="improved"))
-    assert stats_improved.primitive_calls == 9 * 1 + 14
+    assert stats.primitive_calls == 8 * 2 + 14
+    _, stats_improved = run(data, queries, cfg(2, variant="improved"))
+    assert stats_improved.primitive_calls == 8 * 1 + 14
     assert len(stats_improved.widths) == 1
     for m in (1, 2, 3, 4):
-        assert 9 * m + 14 <= 6 * m + 9 + PLUMBING_CALLS
-    assert 9 * 4 + 14 > 6 * 4 + 9 + (PLUMBING_CALLS - 1)  # the least allowance that fits
+        assert 8 * m + 14 <= 6 * m + 9 + PLUMBING_CALLS
+    assert 8 * 4 + 14 > 6 * 4 + 9 + (PLUMBING_CALLS - 1)  # the least allowance that fits
 
 
 def test_results_are_ascending_by_query_id():
     rng = random.Random(5)
     data, queries = random_instance(rng, 30, 25, 2)
     rng.shuffle(queries)
-    res, _ = run_basic(data, queries, cfg(2))
+    res, _ = run(data, queries, cfg(2))
     ids = [r.id for r in res]
     assert ids == sorted(ids)
 

@@ -26,8 +26,7 @@ def test_sort_tiebreak_by_id_is_deterministic():
     assert b.sort(b.sort(rows)) == b.sort(rows)
 
 
-def test_sort_reverse_and_key():
-    assert b.sort([1, 3, 2], reverse=True) == [3, 2, 1]
+def test_sort_key():
     assert b.sort(["bb", "a"], key=len) == ["a", "bb"]
 
 
@@ -71,18 +70,10 @@ def test_exclusive_scan():
     assert b.exclusive_scan([1, 2, 3], SUM) == [0, 1, 3]
     assert b.exclusive_scan([7], SUM) == [0]
     assert b.exclusive_scan([], SUM) == []
-
-
-def test_shift():
-    assert b.shift([1, 2, 3]) == [NEG_INF, 1, 2]
-    assert b.shift([7]) == [NEG_INF]
-    assert b.shift([]) == []
-
-
-def test_broadcast_max():
-    assert b.broadcast_max([3, 1, 2]) == [3, 3, 3]
-    assert b.broadcast_max([5]) == [5]
-    assert b.broadcast_max([2, 2]) == [2, 2]
+    # under MAX, a nondecreasing sequence shifts right behind -inf
+    assert b.exclusive_scan([1, 2, 3], MAX) == [NEG_INF, 1, 2]
+    assert b.exclusive_scan([7], MAX) == [NEG_INF]
+    assert b.exclusive_scan([], MAX) == []
 
 
 def test_segmented_scan():
@@ -99,7 +90,6 @@ def test_records_sort_by_their_first_column_only():
     assert isinstance(rows, Records) and len(rows) == 4
     # stable: equal keys keep their input order; the payload is never compared
     assert b.sort(rows) == [(1, "c"), (1, "a"), (2, "d"), (2, "b")]
-    assert b.sort(rows, reverse=True) == [(2, "d"), (2, "b"), (1, "c"), (1, "a")]
     assert b.sort(b.zip([], [])) == []
 
 
