@@ -15,6 +15,7 @@ from .pipeline import (
     Point,
     PointTable,
     QueryResult,
+    QueryResults,
     data_point,
     query_point,
     run,
@@ -43,6 +44,7 @@ __all__ = [
     "Point",
     "PointTable",
     "QueryResult",
+    "QueryResults",
     "data_point",
     "query_point",
     "run",

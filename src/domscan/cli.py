@@ -24,6 +24,7 @@ import time
 from .datafiles import (
     InputError,
     generate_instance,
+    read_lines,
     read_points,
     result_lines,
     write_instance,
@@ -123,11 +124,7 @@ def _config(args, weights, dims: int) -> PipelineConfig:
 
 def cmd_run(args) -> int:
     t0 = time.perf_counter()
-    try:
-        data, queries = _load(args)
-    except InputError as exc:
-        print(f"domscan: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    data, queries = _load(args)
     t_load = time.perf_counter() - t0
     cfg = _config(args, data.weights, _dims(args, data, queries))
     t1 = time.perf_counter()
@@ -164,11 +161,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        data, queries = _load(args)
-    except InputError as exc:
-        print(f"domscan: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    data, queries = _load(args)
     cfg = _config(args, data.weights, _dims(args, data, queries))
     monoid = cfg.monoid
     results, _ = run(data, queries, cfg)
@@ -191,12 +184,7 @@ def cmd_verify(args) -> int:
         )
         return EXIT_MISMATCH
     if args.expected is not None:
-        try:
-            with open(args.expected) as fh:
-                want = [line.strip() for line in fh if line.strip()]
-        except OSError as exc:
-            print(f"domscan: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        want = [line.strip() for line in read_lines(args.expected) if line.strip()]
         got = result_lines(results)
         for lineno, (g, w) in enumerate(zip(got, want), start=1):
             if g != w:
@@ -229,7 +217,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    dims = args.dim or 2
+    if args.n0 < 1 or args.rounds < 1 or (args.dim is not None and args.dim < 1):
+        print("domscan: --n0, --rounds and --dim must be positive", file=sys.stderr)
+        return EXIT_INPUT
+    dims = 2 if args.dim is None else args.dim
     print(
         f"{'n_data':>8} {'n_query':>8} {'expanded':>10} {'elements':>12} {'calls':>6}"
         f" {'seconds':>9} {'backend':>8}"

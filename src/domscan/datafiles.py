@@ -37,13 +37,7 @@ def read_points(path: str, *, queries: bool, dims: int | None = None) -> PointTa
     column parse cannot take is parsed again line by line
     (:func:`_parse_lines`), which reports the first bad line.
     """
-    try:
-        with open(path, newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    # The line ends that iterating a file opened with newline="" splits on.
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = read_lines(path)
     rows = list(filter(str.strip, lines))
     if not rows:
         raise InputError(f"{path}: missing header row")
@@ -60,6 +54,20 @@ def read_points(path: str, *, queries: bool, dims: int | None = None) -> PointTa
     if table is None:
         table = _parse_lines(path, lines, len(header), m, has_weight, queries)
     return table
+
+
+def read_lines(path: str) -> list[str]:
+    """The lines of a text file, split at LF, CRLF or CR as iterating the
+    file would split them. A file that cannot be read or is not valid
+    text raises :class:`InputError` naming the path."""
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: cannot read: not {exc.encoding} text at byte {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _parse_columns(rows: list[str], ncols: int, m: int, has_weight: bool, queries: bool) -> PointTable | None:

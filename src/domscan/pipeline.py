@@ -50,9 +50,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import product, starmap
-from operator import attrgetter, getitem
+from operator import attrgetter
 from typing import Any, NamedTuple
 
 from . import bits
@@ -82,8 +81,9 @@ class InputError(ValueError):
 class Point:
     """Input record: unique id, m coordinates, weight, and a role flag.
 
-    Queries take part in ranking and sorting like data points, but their
-    weight is replaced by the monoid unit wherever aggregation happens.
+    Queries take part in ranking and sorting like data points; :func:`run`
+    gives each query the monoid unit as its weight, so it adds nothing
+    to any fold.
     """
 
     id: int
@@ -229,26 +229,6 @@ class PipelineConfig:
     variant: str = "basic"  # "basic" | "improved"
 
 
-def weights_with_unit(dq, monoid: Monoid, backend):
-    """Weight of each point, with queries mapped to the monoid unit."""
-    unit = monoid.unit
-
-    def weight(p):
-        return unit if p.is_query else p.weight
-
-    # Point columns already hold the unit in every query slot.
-    weight.columns = attrgetter("weight")
-    return backend.map(weight, dq)
-
-
-def _gather(values):
-    """Map function from an index to ``values[index]``; its ``columns``
-    form gathers a whole index column."""
-    at = partial(getitem, values)
-    at.columns = lambda index: values.take(index)
-    return at
-
-
 def _validate(data: PointTable, queries: PointTable) -> None:
     """Reject NaN coordinates, NaN weights and repeated ids. Each check
     scans whole columns; only a failing one walks the points, to name
@@ -293,7 +273,8 @@ def run(data, queries, cfg: PipelineConfig):
     queries = point_table(queries, True, cfg.dims)
     _validate(data, queries)
     monoid = cfg.monoid
-    unit = monoid.unit
+    # A query weighs the unit: it adds nothing to any fold it reaches.
+    queries = PointTable(queries.ids, queries.coords, [monoid.unit] * len(queries), True)
     ranked = cfg.dims - 1 if improved else cfg.dims
     b = CountingBackend(make_backend(data, queries, monoid, ranked))
     phases: dict = {}
@@ -325,7 +306,7 @@ def run(data, queries, cfg: PipelineConfig):
     mark("rank")
 
     n = len(dq)
-    wts = weights_with_unit(dq, monoid, b)
+    wts = b.map(attrgetter("weight"), dq)
     expansion = _Expansion(dq, ranks, widths)
     edq = b.flatmap(expansion, range(n))
     expanded = len(edq)
@@ -337,7 +318,7 @@ def run(data, queries, cfg: PipelineConfig):
 
     # One segmented scan keyed by the expanded key: every query copy
     # absorbs the weights of the data copies it collided with.
-    a1 = b.segmented_scan(b.map(_gather(wts), points), keys, monoid)
+    a1 = b.segmented_scan(b.map(wts.__getitem__, points), keys, monoid)
     del keys
 
     # Regroup the partial aggregations by point index. The sort is
@@ -354,7 +335,7 @@ def run(data, queries, cfg: PipelineConfig):
     # ends[i], the running count of copies in point order.
     copies = b.map(_Copies(expansion), range(n))
     ends = b.scan(copies, SUM)
-    rows = b.flatmap(_Total(totals, unit), dq, copies, ends)
+    rows = b.flatmap(_Total(totals), dq, copies, ends)
     del totals
     ids, values = b.sort(rows).columns
     mark("project")
@@ -442,16 +423,15 @@ class _Copies:
 class _Total:
     """Flatmap kernel: a query's ``(id, total)`` row; nothing for a data
     point. A query's total is the last row of its group in ``totals``,
-    or the monoid unit when it has no copies."""
+    or its own weight, the monoid unit, when it has no copies."""
 
-    def __init__(self, totals, unit):
+    def __init__(self, totals):
         self.totals = totals
-        self.unit = unit
 
     def __call__(self, point, copies, end):
         if not point.is_query:
             return Records(([], []))
-        return Records(([point.id], [self.totals[end - 1] if copies else self.unit]))
+        return Records(([point.id], [self.totals[end - 1] if copies else point.weight]))
 
     def columns(self, points, copies, ends):
         from .vector import select_totals

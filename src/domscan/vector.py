@@ -17,13 +17,15 @@ result of the sequential backend, down to the type of each value:
   and no scan can overflow int64 (:func:`fits_int64`).
 
 Sequences are :class:`Column` objects: 1-D arrays that read like Python
-sequences (``len``, truth, iteration and indexing give Python values).
-Sorting packs integer keys with the row index into one int64 and sorts
-those values (a lexsort where they do not fit), scans use
-``ufunc.accumulate``, and flatmap uses ``repeat`` plus index arithmetic. Functions given to ``map`` are
-called once on whole arrays, so they must be written with elementwise
-operators; a function that cannot be (a flatmap kernel, say) carries
-its whole-column form as a ``columns`` attribute.
+sequences (``len``, truth, iteration and a scalar index give Python
+values; an index array gives a :class:`Column`). Sorting packs integer
+keys with the row index into one int64 and sorts those values (a
+lexsort where they do not fit), and scans use ``ufunc.accumulate``.
+Functions given to ``map`` are called once on whole arrays, so they
+must work elementwise (operators, indexing) or carry their
+whole-column form as a ``columns`` attribute. A flatmap kernel always
+carries one: given the input columns, it returns the columns of all
+of its outputs at once.
 """
 
 from __future__ import annotations
@@ -65,7 +67,12 @@ class Column:
         return iter(values) if self.decode is None else map(self.decode.__getitem__, values)
 
     def __getitem__(self, i):
-        value = self.a[i].item()
+        """The element at a scalar index as a Python value; the elements
+        at an index array as a :class:`Column` with the same decoding."""
+        value = self.a[i]
+        if isinstance(value, np.ndarray):
+            return Column(value, self.decode)
+        value = value.item()
         return value if self.decode is None else self.decode[value]
 
     def __eq__(self, other):
@@ -78,10 +85,6 @@ class Column:
 
     def __repr__(self):
         return f"Column({list(self)!r})"
-
-    def take(self, index) -> Column:
-        """The elements at ``index``, keeping the decoding."""
-        return Column(self.a[index], self.decode)
 
 
 class PointColumns:
@@ -104,9 +107,9 @@ class PointColumns:
     def __len__(self):
         return len(self.id)
 
-    def take(self, index) -> PointColumns:
+    def __getitem__(self, index) -> PointColumns:
         return PointColumns(
-            self.id[index], self.coords[:, index], self.weight.take(index), self.is_query[index]
+            self.id[index], self.coords[:, index], self.weight[index], self.is_query[index]
         )
 
 
@@ -283,7 +286,7 @@ def _sorted_records(columns: list[Column]) -> list[Column]:
                 del fields[1]
             return [Column(_unpack(packed, f), c.decode) for f, c in zip(fields, columns)]
     order = _order([arrays[0]], n)
-    return [c.take(order) for c in columns]
+    return [c[order] for c in columns]
 
 
 def _ufunc(monoid):
@@ -315,30 +318,27 @@ class NumpyBackend:
         if isinstance(x, PointColumns):
             keys = key(x)
             keys = list(keys) if isinstance(keys, tuple) else [keys]
-            return x.take(_order(keys, len(x)))
+            return x[_order(keys, len(x))]
         x = _column(x)
         keys = [x.a if key is None else _array(key(x.a))]
-        return x.take(_order(keys, len(x)))
+        return x[_order(keys, len(x))]
 
     def map(self, f, *xs):
-        """``f`` (or its ``columns`` form) applied once to whole arrays."""
+        """``f`` (or its ``columns`` form) applied once to the whole
+        arrays; a result that is not a :class:`Column` becomes one."""
         if len(xs) > 1:
             _check_lengths(xs)
         out = getattr(f, "columns", f)(*map(_array, xs))
         return out if isinstance(out, Column) else Column(np.asarray(out))
 
     def flatmap(self, f, *xs):
-        """``f.columns(*xs)``, called with the inputs as :class:`Column`
-        (or :class:`PointColumns`), returns ``(counts, item)``: how many
-        outputs each element makes, and ``item(repeat)``, the columns of
-        the outputs given ``repeat``, which repeats an array aligned with
-        the elements by their counts."""
+        """``f.columns(*xs)``, the kernel's whole-column form, called
+        with the inputs as :class:`Column` (or :class:`PointColumns`):
+        it returns every element's outputs, concatenated in input order,
+        as :class:`Records` of columns."""
         if len(xs) > 1:
             _check_lengths(xs)
-        counts, item = f.columns(*(x if isinstance(x, PointColumns) else _column(x) for x in xs))
-        counts = np.asarray(counts, dtype=np.int64)
-        out = item(lambda a: np.repeat(a, counts))
-        return out if isinstance(out, (Records, Column)) else Column(np.asarray(out))
+        return f.columns(*(x if isinstance(x, PointColumns) else _column(x) for x in xs))
 
     def zip(self, *xs):
         _check_lengths(xs)
@@ -429,22 +429,16 @@ def expand(expansion, points: Column):
     record ``(0, point)`` per point, each ranked dimension repeats every
     record once per code of its point there and adds the codes, which
     gives the records in the order ``itertools.product`` does."""
-    arrays = _code_arrays(expansion)
-    counts = copy_counts(expansion, points.a)
-
-    def item(repeat):
-        key = np.zeros(len(points), dtype=np.int64)
-        owner = points.a
-        for codes, per_point, starts in arrays:
-            n = per_point[owner]
-            index = np.repeat(starts[owner] - (np.cumsum(n) - n), n)
-            index += np.arange(len(index))
-            key = np.repeat(key, n)
-            key += codes[index]
-            owner = np.repeat(owner, n)
-        return Records((Column(key), Column(owner)))
-
-    return counts, item
+    key = np.zeros(len(points), dtype=np.int64)
+    owner = points.a
+    for codes, per_point, starts in _code_arrays(expansion):
+        n = per_point[owner]
+        index = np.repeat(starts[owner] - (np.cumsum(n) - n), n)
+        index += np.arange(len(index))
+        key = np.repeat(key, n)
+        key += codes[index]
+        owner = np.repeat(owner, n)
+    return Records((Column(key), Column(owner)))
 
 
 def copy_counts(expansion, points):
@@ -460,11 +454,8 @@ def select_totals(totals: Column, points: PointColumns, copies: Column, ends: Co
     ``(id, value)`` row per query, the value being the last row of its
     group in ``totals`` or, for a query without copies, the unit its
     weight slot holds."""
-
-    def item(repeat):
-        values = repeat(points.weight.a)
-        found = repeat(copies.a) > 0
-        values[found] = totals.a[repeat(ends.a)[found] - 1]
-        return Records((Column(repeat(points.id)), Column(values, points.weight.decode)))
-
-    return points.is_query, item
+    query = points.is_query
+    values = points.weight.a[query]
+    found = copies.a[query] > 0
+    values[found] = totals.a[ends.a[query][found] - 1]
+    return Records((Column(points.id[query]), Column(values, points.weight.decode)))

@@ -263,11 +263,10 @@ def test_numpy_flatmap_repeats_and_indexes():
         return [(n, k) for k in range(n)]
 
     def pair_columns(a):
-        def item(repeat):
-            k = np.arange(a.a.sum()) - repeat(np.cumsum(a.a) - a.a)
-            return Records((repeat(a.a), k))
-
-        return a.a, item
+        # the kernel's whole-column form returns all of its records at once
+        n = np.repeat(a.a, a.a)
+        k = np.arange(len(n)) - np.repeat(np.cumsum(a.a) - a.a, a.a)
+        return Records((Column(n), Column(k)))
 
     pairs.columns = pair_columns
     xs = [2, 0, 3, 1]
@@ -278,5 +277,7 @@ def test_columns_read_as_python_values():
     col = Column(np.array([2, 0, 1]), decode=["a", "b", "c"])
     assert list(col) == ["c", "a", "b"] and col[0] == "c"
     assert len(col) == 3 and bool(col) and not Column(np.zeros(0))
-    assert col.take(np.array([1, 1])) == ["a", "a"]
+    picked = col[np.array([1, 1])]
+    assert isinstance(picked, Column) and picked.decode is col.decode
+    assert picked == ["a", "a"]
     assert type(Column(np.array([5]))[0]) is int

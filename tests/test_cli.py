@@ -243,6 +243,26 @@ def test_missing_or_unreadable_input_file(tmp_path, capsys):
     assert f"{tmp_path}: cannot read" in capsys.readouterr().err
 
 
+def test_data_file_that_is_not_text(tmp_path, capsys):
+    d = tmp_path / "d.csv"
+    text = b"id,x1,weight\n0,1,"
+    d.write_bytes(text + b"\xff\n")
+    assert main(["run", str(d), FIXTURE[1]]) == EXIT_INPUT
+    message = _last_stderr_line(capsys)
+    # the encoding named is the locale's, utf-8 on most hosts
+    assert message.startswith(f"domscan: {d}: cannot read: not ")
+    assert message.endswith(f" text at byte {len(text)}")
+
+
+def test_expected_file_that_is_not_text(tmp_path, capsys):
+    bad = tmp_path / "expected.csv"
+    bad.write_bytes(EXPECTED + b"\xff\n")
+    assert main(["verify", *FIXTURE, "--expected", str(bad)]) == EXIT_INPUT
+    message = _last_stderr_line(capsys)
+    assert message.startswith(f"domscan: {bad}: cannot read: not ")
+    assert message.endswith(f" text at byte {len(EXPECTED)}")
+
+
 def test_wrong_arity_row_reports_line(tmp_path, capsys):
     d = tmp_path / "d.csv"
     d.write_text("id,x1,x2,weight\n0,1,2,3\n1,1,2,3,4\n")
@@ -328,6 +348,18 @@ def test_min_monoid_prints_inf_literal(tmp_path, capsys):
     assert capsys.readouterr().out == "1,+inf\n2,3\n"
     assert main(["run", str(d), str(q), "--monoid", "max"]) == EXIT_OK
     assert capsys.readouterr().out == "1,-inf\n2,3\n"
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [["--dim", "0", "--n0", "8", "--rounds", "1"], ["--dim", "-1"], ["--n0", "-4", "--rounds", "2"]],
+    ids=["dim-0", "dim-negative", "n0-negative"],
+)
+def test_bench_rejects_bad_sizes_before_printing(sizes, capsys):
+    assert main(["bench", *sizes]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "domscan: --n0, --rounds and --dim must be positive\n"
 
 
 def test_bench_prints_table(capsys):

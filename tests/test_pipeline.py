@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import domscan
 from backends import BACKENDS, run_on
 from domscan.monoids import COUNT, FLOAT_SUM, MAX, MIN, MONOIDS, SUM
 from domscan.oracle import brute_force
@@ -18,9 +19,7 @@ from domscan.pipeline import (
     data_point,
     query_point,
     run,
-    weights_with_unit,
 )
-from domscan.primitives import SequentialBackend
 
 
 def cfg(m, monoid=COUNT, **kw):
@@ -101,14 +100,6 @@ def test_variant_dispatch_and_mismatch():
     data, queries = fixture_2d()
     with pytest.raises(ValueError, match="variant"):
         run(data, queries, cfg(2, variant="bogus"))
-
-
-def test_weights_with_unit():
-    b = SequentialBackend()
-    seq = [data_point(0, (1,), 3), query_point(1, (1,)), data_point(2, (1,), 2)]
-    assert weights_with_unit(seq, SUM, b) == [3, 0, 2]
-    assert weights_with_unit([query_point(0, (1,))], MAX, b) == [float("-inf")]
-    assert weights_with_unit([], SUM, b) == []
 
 
 def test_strict_dominance_with_shared_coordinates():
@@ -390,6 +381,12 @@ def test_improved_tie_order_against_id_order_still_answers_by_id(backend):
         res, _ = run_on(backend, data, queries, cfg(2, monoid, variant="improved"))
         assert [r.id for r in res] == list(range(100, 120))
         assert results_dict(res) == brute_force(data, queries, monoid)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_query_results_is_exported(backend):
+    results, _ = run_on(backend, [data_point(0, (1.0,), 2)], [query_point(1, (2.0,))], cfg(1, SUM))
+    assert isinstance(results, domscan.QueryResults) and "QueryResults" in domscan.__all__
 
 
 def test_result_object_contract():
