@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -109,10 +110,6 @@ def _load(args):
     return data, queries
 
 
-def _dims(args, data, queries) -> int:
-    return data.dims if data else (queries.dims if queries else args.dim or 1)
-
-
 def _config(args, weights, dims: int) -> PipelineConfig:
     monoid = MONOIDS[args.monoid]
     # Float addition depends on the order of the terms, so float weights
@@ -122,11 +119,19 @@ def _config(args, weights, dims: int) -> PipelineConfig:
     return PipelineConfig(dims=dims, monoid=monoid, variant=args.variant)
 
 
+def _distinct_outputs(first: str | None, second: str | None, flags: str) -> None:
+    """Reject two output paths that name one file, before anything is
+    read or written."""
+    if first is not None and second is not None and os.path.realpath(first) == os.path.realpath(second):
+        raise InputError(f"{flags} name the same file: {first}")
+
+
 def cmd_run(args) -> int:
+    _distinct_outputs(args.output, args.stats, "--output and --stats")
     t0 = time.perf_counter()
     data, queries = _load(args)
     t_load = time.perf_counter() - t0
-    cfg = _config(args, data.weights, _dims(args, data, queries))
+    cfg = _config(args, data.weights, (queries or data).dims)
     t1 = time.perf_counter()
     results, stats = run(data, queries, cfg)
     t_compute = time.perf_counter() - t1
@@ -162,13 +167,18 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     data, queries = _load(args)
-    cfg = _config(args, data.weights, _dims(args, data, queries))
+    cfg = _config(args, data.weights, (queries or data).dims)
     monoid = cfg.monoid
     results, _ = run(data, queries, cfg)
     expected = brute_force(data, queries, monoid)
     ids, values = list(results.ids), list(results.values)
     wanted = list(map(expected.__getitem__, ids))
-    bad = [i for i, (got, want) in enumerate(zip(values, wanted)) if not monoid.value_eq(got, want)]
+    # NaN (an inf - inf sum) agrees with NaN here, not in value_eq
+    bad = [
+        i
+        for i, (got, want) in enumerate(zip(values, wanted))
+        if not (monoid.value_eq(got, want) or got != got and want != want)
+    ]
     if bad:
         first = bad[0]
         rule = f"within tolerance {monoid.tolerance!r}" if monoid.tolerance else "exactly"
@@ -211,6 +221,7 @@ def cmd_gen(args) -> int:
     if args.n < 0 or args.q < 0 or args.dim < 1:
         print("domscan: sizes must be nonnegative and --dim positive", file=sys.stderr)
         return EXIT_INPUT
+    _distinct_outputs(args.data, args.queries, "--data and --queries")
     data, queries = generate_instance(args.n, args.q, args.dim, args.seed, args.distribution)
     write_instance(args.data, args.queries, data, queries, args.dim)
     return EXIT_OK

@@ -33,9 +33,9 @@ def read_points(path: str, *, queries: bool, dims: int | None = None) -> PointTa
     report the offending physical line number (the header is line 1).
     Lines may end in LF, CRLF or CR; blank lines are skipped but counted.
 
-    The rows are parsed column by column; a file with any row that the
-    column parse cannot take is parsed again line by line
-    (:func:`_parse_lines`), which reports the first bad line.
+    The rows are parsed column by column (:func:`_parse_rows`). When
+    that fails, the same parse runs on one row at a time, cells
+    stripped, to name the first bad line and its fault.
     """
     lines = read_lines(path)
     rows = list(filter(str.strip, lines))
@@ -50,10 +50,18 @@ def read_points(path: str, *, queries: bool, dims: int | None = None) -> PointTa
         raise InputError(f"{path}: line 1: no coordinate columns")
     if dims is not None and m != dims:
         raise InputError(f"{path}: line 1: header has {m} coordinates, expected {dims}")
-    table = _parse_columns(rows[1:], len(header), m, has_weight, queries)
-    if table is None:
-        table = _parse_lines(path, lines, len(header), m, has_weight, queries)
-    return table
+    try:
+        return _parse_rows(rows[1:], len(header), m, has_weight, queries)
+    except ValueError:
+        pass
+    numbered = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
+    for lineno, line in numbered[1:]:
+        row = ",".join(c.strip() for c in line.split(","))
+        try:
+            _parse_rows([row], len(header), m, has_weight, queries)
+        except ValueError as exc:
+            raise InputError(f"{path}: line {lineno}: {exc}") from None
+    raise RuntimeError(f"{path}: the rows parse one at a time but not together")
 
 
 def read_lines(path: str) -> list[str]:
@@ -70,65 +78,37 @@ def read_lines(path: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _parse_columns(rows: list[str], ncols: int, m: int, has_weight: bool, queries: bool) -> PointTable | None:
-    """The rows as a table, or None when some row has the wrong number
-    of cells, a cell that does not parse, or a NaN coordinate or weight.
+def _parse_rows(rows: list[str], ncols: int, m: int, has_weight: bool, queries: bool) -> PointTable:
+    """The rows as a table of ``m`` coordinate columns. A row with the
+    wrong number of cells, a cell that does not parse, or a NaN
+    coordinate or weight raises ``ValueError``; for a single row its
+    message is the fault, found in the order id, coordinates, weight.
 
     ``int`` and ``float`` ignore surrounding whitespace as ``str.strip``
-    does, so each cell converts to what :func:`_parse_lines` makes of it.
+    does, so a row gives the same values with its cells stripped or not.
     """
     n = len(rows)
-    if set(map(str.count, rows, repeat(",", n))) != {ncols - 1}:
-        return None
-    cells = ",".join(rows).split(",")
-    try:
-        ids = list(map(int, cells[0::ncols]))
-        coords = [list(map(float, cells[1 + d :: ncols])) for d in range(m)]
-        if not has_weight:
-            weights = [None if queries else 1] * n
-        else:
-            column = cells[1 + m :: ncols]
-            try:
-                weights = list(map(int, column))
-            except ValueError:
-                weights = list(map(_parse_number, column))
-                if any(w != w for w in weights):
-                    return None
-    except ValueError:
-        return None
-    if any(any(map(math.isnan, column)) for column in coords):
-        return None
-    return PointTable(ids, coords, weights, queries)
-
-
-def _parse_lines(
-    path: str, lines: list[str], expected_cols: int, m: int, has_weight: bool, queries: bool
-) -> PointTable:
-    """Parse the rows after the header one line at a time, raising
-    :class:`InputError` with the line number at the first bad one."""
-    numbered = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
-    ids, rows, weights = [], [], []
-    for lineno, line in numbered[1:]:
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != expected_cols:
-            raise InputError(
-                f"{path}: line {lineno}: expected {expected_cols} columns, found {len(cells)}"
-            )
+    wrong = set(map(str.count, rows, repeat(",", n))) - {ncols - 1}
+    if wrong:
+        raise ValueError(f"expected {ncols} columns, found {min(wrong) + 1}")
+    cells = ",".join(rows).split(",") if rows else []
+    ids = list(map(int, cells[0::ncols]))
+    coords = [list(map(float, cells[1 + d :: ncols])) for d in range(m)]
+    nan_weight = False
+    if not has_weight:
+        weights = [None if queries else 1] * n
+    else:
+        column = cells[1 + m :: ncols]
         try:
-            pid = int(cells[0])
-            coords = tuple(float(c) for c in cells[1 : 1 + m])
-            weight = _parse_number(cells[1 + m]) if has_weight else 1
-        except ValueError as exc:
-            raise InputError(f"{path}: line {lineno}: {exc}") from None
-        if any(map(math.isnan, coords)):
-            raise InputError(f"{path}: line {lineno}: NaN coordinate")
-        if weight != weight:
-            raise InputError(f"{path}: line {lineno}: NaN weight")
-        ids.append(pid)
-        rows.append(coords)
-        weights.append(None if queries else weight)
-    columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(m)]
-    return PointTable(ids, columns, weights, queries)
+            weights = list(map(int, column))
+        except ValueError:
+            weights = list(map(_parse_number, column))
+            nan_weight = any(w != w for w in weights)
+    if any(any(map(math.isnan, column)) for column in coords):
+        raise ValueError("NaN coordinate")
+    if nan_weight:
+        raise ValueError("NaN weight")
+    return PointTable(ids, coords, weights, queries)
 
 
 def check_unique_ids(data: list[Point], queries: list[Point]) -> None:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import domscan.cli
+import domscan.datafiles
 import domscan.primitives
 from backends import HAVE_NUMPY, backend_seam
 from domscan.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
@@ -88,6 +89,22 @@ def test_gen_data_into_missing_directory(tmp_path, capsys):
     assert _last_stderr_line(capsys) == f"domscan: {data}: cannot write: No such file or directory"
 
 
+def test_gen_data_and_queries_into_one_file(tmp_path, capsys):
+    same = tmp_path / "same.csv"
+    args = ["gen", "--n", "3", "--q", "2", "--data", str(same), "--queries", f"{tmp_path}/./same.csv"]
+    assert main(args) == EXIT_INPUT
+    assert _last_stderr_line(capsys) == f"domscan: --data and --queries name the same file: {same}"
+    assert not same.exists()
+
+
+def test_run_output_and_stats_into_one_file(tmp_path, capsys):
+    same = tmp_path / "same.json"
+    args = ["run", *FIXTURE, "--output", str(same), "--stats", f"{tmp_path}/./same.json"]
+    assert main(args) == EXIT_INPUT
+    assert _last_stderr_line(capsys) == f"domscan: --output and --stats name the same file: {same}"
+    assert not same.exists()
+
+
 def test_internal_error_is_not_an_input_error(capsys):
     class Broken(domscan.primitives.SequentialBackend):
         def segmented_scan(self, x, tags, monoid):
@@ -97,6 +114,21 @@ def test_internal_error_is_not_an_input_error(capsys):
         assert main(["run", *FIXTURE]) == EXIT_INTERNAL
     assert _last_stderr_line(capsys) == (
         "domscan: internal error: ValueError: sequences have different lengths: [3, 2]"
+    )
+
+
+def test_rows_that_parse_one_at_a_time_but_not_together_are_an_internal_error(capsys, monkeypatch):
+    parse_rows = domscan.datafiles._parse_rows
+
+    def whole_file_fails(rows, *args):
+        if len(rows) > 1:
+            raise ValueError("rows disagree")
+        return parse_rows(rows, *args)
+
+    monkeypatch.setattr(domscan.datafiles, "_parse_rows", whole_file_fails)
+    assert main(["run", *FIXTURE]) == EXIT_INTERNAL
+    assert _last_stderr_line(capsys) == (
+        f"domscan: internal error: RuntimeError: {FIXTURE[0]}: the rows parse one at a time but not together"
     )
 
 
@@ -234,6 +266,22 @@ def test_verify_reports_every_mismatch(tmp_path, capsys, monkeypatch):
         assert len(lines) == 2
 
 
+def test_verify_agrees_with_the_reference_on_nan(tmp_path, capsys, monkeypatch):
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    d.write_text("id,x1,weight\n0,1,inf\n1,2,-inf\n")
+    q.write_text("id,x1\n5,3\n")
+    assert main(["run", str(d), str(q), "--monoid", "sum"]) == EXIT_OK
+    assert capsys.readouterr().out == "5,nan\n"
+    assert main(["verify", str(d), str(q), "--monoid", "sum"]) == EXIT_OK
+    assert capsys.readouterr().out == "verified 1 queries\n"
+    # NaN against a number still mismatches
+    monkeypatch.setattr(domscan.cli, "brute_force", lambda *args: {5: 1.0})
+    assert main(["verify", str(d), str(q), "--monoid", "sum"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "mismatch at query 5: pipeline nan, reference 1.0 (fsum, compared within tolerance 1e-09)"
+    )
+
+
 def test_missing_or_unreadable_input_file(tmp_path, capsys):
     missing = tmp_path / "nonexist.csv"
     assert main(["run", str(missing), FIXTURE[1]]) == EXIT_INPUT
@@ -295,6 +343,10 @@ def test_nan_weight_reports_line(tmp_path, capsys):
         for monoid in ("count", "sum", "min", "max"):
             assert main([command, str(d), str(q), "--monoid", monoid]) == EXIT_INPUT
             assert _last_stderr_line(capsys) == f"domscan: {d}: line 3: NaN weight"
+    # coordinates are checked before the weight
+    d.write_text("id,x1,weight\n0,0.5,5\n1,nan,nan\n")
+    assert main(["run", str(d), str(q)]) == EXIT_INPUT
+    assert _last_stderr_line(capsys) == f"domscan: {d}: line 3: NaN coordinate"
 
 
 def test_dim_flag_mismatch(tmp_path, capsys):
@@ -337,6 +389,15 @@ def test_empty_query_file_gives_empty_output(tmp_path, capsys):
     q.write_text("id,x1,x2\n")
     assert main(["run", str(FIXTURE[0]), str(q)]) == EXIT_OK
     assert capsys.readouterr().out == ""
+
+
+def test_header_only_data_file_against_wider_queries_answers_the_unit(tmp_path, capsys):
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    d.write_text("id,x1,x2,weight\n")
+    q.write_text("id,x1,x2,x3\n7,1,2,3\n8,0,0,0\n")
+    for monoid, unit in (("count", "0"), ("sum", "0"), ("min", "+inf"), ("max", "-inf")):
+        assert main(["run", str(d), str(q), "--monoid", monoid]) == EXIT_OK
+        assert capsys.readouterr().out == f"7,{unit}\n8,{unit}\n"
 
 
 def test_min_monoid_prints_inf_literal(tmp_path, capsys):

@@ -121,12 +121,12 @@ def test_read_points_matches_the_line_by_line_reference(case):
         with open(path, "w", newline="") as fh:
             fh.write(text)
         want = parse(reference_read_points, path, queries, dims)
-        with mock.patch.object(datafiles, "_parse_lines", wraps=datafiles._parse_lines) as lines:
+        with mock.patch.object(datafiles, "_parse_rows", wraps=datafiles._parse_rows) as rows:
             got = parse(read_points, path, queries, dims)
     assert got == want
-    if isinstance(want, list) and want:
-        # a file without a bad row never needs the line-by-line parse
-        assert not lines.called
+    if isinstance(want, list):
+        # a file without a bad row, header-only included, is parsed once, whole
+        assert rows.call_count == 1
 
 
 def test_result_lines_format_whole_columns_as_each_value_would_be():
