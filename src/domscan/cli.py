@@ -154,6 +154,7 @@ def cmd_run(args) -> int:
                 "query_count": stats.query_count,
                 "expanded_count": stats.expanded_count,
                 "widths": list(stats.widths),
+                "expansion_vs_bound": stats.expansion_vs_bound,
                 "elements_processed": stats.elements_processed,
                 "primitive_calls": stats.primitive_calls,
             },

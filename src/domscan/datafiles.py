@@ -30,7 +30,7 @@ def read_points(path: str, *, queries: bool, dims: int | None = None) -> PointTa
     """Parse a data or query file into a point table.
 
     ``dims``, when given, is cross-checked against the header. Errors
-    report the offending physical line number (the header is line 1).
+    report the offending physical line number, the header's included.
     Lines may end in LF, CRLF or CR; blank lines are skipped but counted.
 
     The rows are parsed column by column (:func:`_parse_rows`). When
@@ -41,15 +41,16 @@ def read_points(path: str, *, queries: bool, dims: int | None = None) -> PointTa
     rows = list(filter(str.strip, lines))
     if not rows:
         raise InputError(f"{path}: missing header row")
+    at = f"{path}: line {lines.index(rows[0]) + 1}"
     header = [c.strip() for c in rows[0].split(",")]
     if not header or header[0] != "id":
-        raise InputError(f"{path}: line 1: header must start with 'id'")
+        raise InputError(f"{at}: header must start with 'id'")
     has_weight = not queries and header[-1] == "weight"
     m = len(header) - 1 - (1 if has_weight else 0)
     if m < 1:
-        raise InputError(f"{path}: line 1: no coordinate columns")
+        raise InputError(f"{at}: no coordinate columns")
     if dims is not None and m != dims:
-        raise InputError(f"{path}: line 1: header has {m} coordinates, expected {dims}")
+        raise InputError(f"{at}: header has {m} coordinates, expected {dims}")
     try:
         return _parse_rows(rows[1:], len(header), m, has_weight, queries)
     except ValueError:

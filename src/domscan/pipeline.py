@@ -221,6 +221,12 @@ class ExpansionStats:
     phase_seconds: dict = field(default_factory=dict)
     backend: str = "seq"
 
+    @property
+    def expansion_vs_bound(self) -> float:
+        """``expanded_count`` over its bound; 0.0 for an empty run."""
+        bound = (self.data_count + self.query_count) * math.prod(self.widths)
+        return self.expanded_count / bound if bound else 0.0
+
 
 @dataclass(frozen=True)
 class PipelineConfig:

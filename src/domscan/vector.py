@@ -18,9 +18,10 @@ result of the sequential backend, down to the type of each value:
 
 Sequences are :class:`Column` objects: 1-D arrays that read like Python
 sequences (``len``, truth, iteration and a scalar index give Python
-values; an index array gives a :class:`Column`). Sorting packs integer
-keys with the row index into one int64 and sorts those values (a
-lexsort where they do not fit), and scans use ``ufunc.accumulate``.
+values; an index array gives a :class:`Column`). Sorting packs the key
+columns with the row index into one int64 and sorts those values, a
+float key column packed as its dense codes; only keys that need more
+than 63 bits fall back to a lexsort. Scans use ``ufunc.accumulate``.
 Functions given to ``map`` are called once on whole arrays, so they
 must work elementwise (operators, indexing) or carry their
 whole-column form as a ``columns`` attribute. A flatmap kernel always
@@ -251,10 +252,13 @@ def _order(keys, n: int):
 
     The keys are packed with the row index into one int64 per row where
     they fit, so every packed value is distinct and an unstable sort of
-    them gives the stable order; otherwise it is a lexsort.
+    them gives the stable order; otherwise it is a lexsort. A float key
+    is packed as its dense codes, equal for equal values (``-0.0`` and
+    ``0.0`` included), so it keeps the order and the ties of the floats.
     """
     if n == 0:
         return np.zeros(0, dtype=np.int64)
+    keys = [np.unique(k, return_inverse=True)[1] if k.dtype.kind == "f" else k for k in keys]
     got = _pack([*keys, np.arange(n)])
     if got is None:
         return np.lexsort(keys[::-1])
@@ -406,20 +410,28 @@ class NumpyBackend:
 
 def _code_arrays(expansion) -> list:
     """Per ranked dimension of an expansion kernel (the pipeline's
-    ``_Expansion``), ``(codes, counts, starts)``: every point's shifted
-    prefix codes in one array, point by point and shortest prefix first,
-    and per point how many there are and where they start. Computed once
-    per kernel."""
+    ``_Expansion``), ``(codes, counts, starts)``: the shifted prefix
+    codes of every (rank, role) pair that occurs, pair by pair and
+    shortest prefix first, and per point how many codes its pair has and
+    where they start. A point's codes depend only on its rank and role,
+    so each pair is expanded once, however many points share it.
+    Computed once per kernel."""
     if expansion.arrays is None:
-        role = expansion.dq.is_query[:, None]
         expansion.arrays = []
         for ranks, width, shift in zip(expansion.ranks, expansion.widths, expansion.shifts):
-            x = (ranks.a - 1)[:, None]
+            # one row per pair 2·(rank - 1) + is_query that occurs
+            pair = (ranks.a - 1) * 2 + expansion.dq.is_query
+            present = np.zeros(2 << width, dtype=bool)
+            present[pair] = True
+            row = np.cumsum(present)[pair] - 1
+            rows = np.flatnonzero(present)[:, None]
+            del pair, present
+            x = rows >> 1
             lengths = np.arange(width)
-            match = bits.next_bit(x, lengths, width) == role
+            match = bits.next_bit(x, lengths, width) == (rows & 1)
             codes = bits.prefix_code(x >> (width - lengths), lengths, width)[match] << shift
             counts = match.sum(axis=1)
-            expansion.arrays.append((codes, counts, np.cumsum(counts) - counts))
+            expansion.arrays.append((codes, counts[row], (np.cumsum(counts) - counts)[row]))
     return expansion.arrays
 
 

@@ -7,12 +7,14 @@ import math
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
 from backends import backend_seam, run_on  # noqa: E402
+from domscan import vector  # noqa: E402
 from domscan.datafiles import generate_instance, read_points, write_instance  # noqa: E402
 from domscan.monoids import COUNT, FLOAT_SUM, MAX, MIN, MONOIDS, SUM  # noqa: E402
 from domscan.pipeline import PipelineConfig, data_point, point_table, query_point  # noqa: E402
@@ -82,14 +84,28 @@ def comparable(out):
     return list(out)
 
 
+def edge_instances(rng):
+    """Instances whose rank tables are unusual: in the first, every data
+    point is below every query in dimension 1, so each rank there occurs
+    for one role only; in the second every coordinate is equal, so every
+    width is 1."""
+    data = [data_point(i, (rng.randrange(3) / 10, rng.randrange(3) / 10), 1) for i in range(30)]
+    queries = [query_point(100 + i, (0.5 + rng.randrange(3) / 10, rng.randrange(3) / 10)) for i in range(30)]
+    yield 2, data, queries
+    yield 2, [data_point(i, (0.5, 0.5), 1) for i in range(20)], [query_point(50 + i, (0.5, 0.5)) for i in range(20)]
+
+
 @pytest.mark.parametrize("variant", ["basic", "improved"])
 @pytest.mark.parametrize("name", ["count", "sum", "min", "max"])
 def test_numpy_matches_sequential_call_by_call(variant, name, tmp_path):
     monoid = MONOIDS[name]
     paths = str(tmp_path / "d.csv"), str(tmp_path / "q.csv")
     rng = random.Random(name + variant)
-    for m in (1, 2, 3, 4):
-        data, queries = generate_instance(40, 40, m, seed=rng.randrange(1000), distribution="gridded")
+    instances = [
+        (m, *generate_instance(40, 40, m, seed=rng.randrange(1000), distribution="gridded"))
+        for m in (1, 2, 3, 4)
+    ]
+    for m, data, queries in [*instances, *edge_instances(rng)]:
         data = [data_point(p.id, p.coords, rng.randint(-50, 50)) for p in data]
         cfg = PipelineConfig(dims=m, monoid=monoid, variant=variant)
         seq_results, seq_stats, seq_calls = recorded_run("seq", data, queries, cfg)
@@ -114,6 +130,37 @@ def test_numpy_matches_sequential_call_by_call(variant, name, tmp_path):
             assert repr(got) == repr(results)
             assert got_stats.primitive_calls == stats.primitive_calls
             assert got_stats.elements_processed == stats.elements_processed
+
+
+def test_numpy_code_tables_hold_one_row_per_rank_and_role():
+    rng = random.Random(3)
+    data = [data_point(i, (rng.randrange(3), rng.randrange(3), rng.randrange(3)), 1) for i in range(1000)]
+    queries = [query_point(1000 + i, (rng.randrange(3), rng.randrange(3), rng.randrange(3))) for i in range(1000)]
+    with mock.patch.object(vector, "expand", wraps=vector.expand) as expand:
+        _, stats = run_on("numpy", data, queries, PipelineConfig(3, SUM, "basic"))
+    assert stats.backend == "numpy" and stats.widths == (2, 2, 2)
+    expansion = expand.call_args.args[0]
+    for d, (codes, counts, starts) in enumerate(vector._code_arrays(expansion)):
+        pairs = {(r, q) for r, q in zip(expansion.ranks[d], expansion.dq.is_query.tolist())}
+        assert len(pairs) <= 6 and len(codes) <= len(pairs) * expansion.widths[d]
+        # each point reads its own (rank, role) code list, as the sequential kernel builds it
+        lists = [codes.tolist()[s : s + c] for s, c in zip(starts.tolist(), counts.tolist())]
+        assert lists == expansion.tables[d]
+
+
+def test_numpy_sort_on_float_keys_is_the_sequential_stable_order():
+    rng = random.Random(6)
+    floats = [rng.choice((-0.0, 0.0, 0.5, -1.5, math.inf, -math.inf, 2.0)) for _ in range(300)]
+    want = seq.sort(seq.zip(floats, range(300)))
+    got = vec.sort(vec.zip(floats, range(300)))
+    assert [tuple(map(repr, r)) for r in got] == [tuple(map(repr, r)) for r in want]
+    assert list(map(repr, vec.sort(floats))) == list(map(repr, seq.sort(floats)))
+    # point columns sorted by a float key, then an int one: the improved tie order
+    points = [query_point(i, (f,)) if i % 3 else data_point(i, (f,), 1) for i, f in enumerate(floats)]
+    is_query = np.array([p.is_query for p in points])
+    columns = PointColumns(np.arange(300), np.array([floats]), Column(np.zeros(300, dtype=np.int64)), is_query)
+    key = lambda p: (p.coords[-1], 1 - p.is_query, p.id)  # noqa: E731
+    assert vec.sort(columns, key=key).id.tolist() == [p.id for p in seq.sort(points, key=key)]
 
 
 def test_min_max_results_are_the_original_weight_objects():

@@ -51,9 +51,17 @@ def test_run_stats_report(tmp_path):
     assert report["stats"]["data_count"] == 3
     assert report["stats"]["expanded_count"] >= 3
     assert report["stats"]["widths"] == [2, 2]
+    bound = (report["stats"]["data_count"] + report["stats"]["query_count"]) * 2 * 2
+    assert report["stats"]["expansion_vs_bound"] == report["stats"]["expanded_count"] / bound
     assert report["variant"] == "basic" and report["monoid"] == "count"
     assert report["backend"] == ("numpy" if HAVE_NUMPY else "seq")
     assert set(report["phases"]) >= {"load_seconds", "compute_seconds", "write_seconds"}
+    # an empty run has no bound to compare against
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    d.write_text("id,x1,x2,weight\n")
+    q.write_text("id,x1,x2\n")
+    assert main(["run", str(d), str(q), "--output", str(out), "--stats", str(stats)]) == EXIT_OK
+    assert json.loads(stats.read_text())["stats"]["expansion_vs_bound"] == 0.0
 
 
 def test_run_stats_report_names_the_fallback_backend(tmp_path, capsys):
@@ -352,6 +360,17 @@ def test_nan_weight_reports_line(tmp_path, capsys):
 def test_dim_flag_mismatch(tmp_path, capsys):
     assert main(["run", *FIXTURE, "--dim", "3"]) == EXIT_INPUT
     assert "expected 3" in capsys.readouterr().err
+
+
+def test_header_faults_name_the_header_line_after_blank_lines(tmp_path, capsys):
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    d.write_text("\n \nfoo,x1\n0,1\n")
+    q.write_text("id,x1\n9,2\n")
+    assert main(["run", str(d), str(q)]) == EXIT_INPUT
+    assert _last_stderr_line(capsys) == f"domscan: {d}: line 3: header must start with 'id'"
+    d.write_text("\r\n\r\nid,x1,x2,weight\r\n0,1,2,3\r\n")
+    assert main(["run", str(d), str(q), "--dim", "1"]) == EXIT_INPUT
+    assert _last_stderr_line(capsys) == f"domscan: {d}: line 3: header has 2 coordinates, expected 1"
 
 
 def test_unparsable_number(tmp_path, capsys):

@@ -27,15 +27,15 @@ def reference_read_points(path, *, queries, dims=None):
         raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
     if not numbered:
         raise InputError(f"{path}: missing header row")
-    header = [c.strip() for c in numbered[0][1].split(",")]
+    header_line, header = numbered[0][0], [c.strip() for c in numbered[0][1].split(",")]
     if not header or header[0] != "id":
-        raise InputError(f"{path}: line 1: header must start with 'id'")
+        raise InputError(f"{path}: line {header_line}: header must start with 'id'")
     has_weight = not queries and header[-1] == "weight"
     m = len(header) - 1 - (1 if has_weight else 0)
     if m < 1:
-        raise InputError(f"{path}: line 1: no coordinate columns")
+        raise InputError(f"{path}: line {header_line}: no coordinate columns")
     if dims is not None and m != dims:
-        raise InputError(f"{path}: line 1: header has {m} coordinates, expected {dims}")
+        raise InputError(f"{path}: line {header_line}: header has {m} coordinates, expected {dims}")
     expected_cols = len(header)
     points = []
     for lineno, line in numbered[1:]:
