@@ -143,6 +143,7 @@ def cmd_run(args) -> int:
             "variant": cfg.variant,
             "monoid": cfg.monoid.name,
             "backend": stats.backend,
+            "peak_rss_mb": _peak_rss_mb(),
             "phases": {
                 "load_seconds": t_load,
                 "compute_seconds": t_compute,
@@ -164,6 +165,19 @@ def cmd_run(args) -> int:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     return EXIT_OK
+
+
+def _peak_rss_mb() -> float | None:
+    """The process's resident-set high-water mark so far, in MiB, or None
+    where the ``resource`` module is missing (Windows). It covers the
+    whole process, not the run alone, and a process forked from a larger
+    one starts from its parent's mark."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1024)  # bytes on macOS, KiB elsewhere
 
 
 def cmd_verify(args) -> int:

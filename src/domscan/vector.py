@@ -27,6 +27,15 @@ must work elementwise (operators, indexing) or carry their
 whole-column form as a ``columns`` attribute. A flatmap kernel always
 carries one: given the input columns, it returns the columns of all
 of its outputs at once.
+
+Full-length integer columns are int32 where their values are known to
+fit it, and int64 otherwise: the expansion's point indices, and its
+keys when ``sum(w + 1) <= 31``; sum weights whose absolute values add
+up to less than ``2**31``, and min/max weight codes; every column a
+sort reads back out of its packed values whose field is at most 31
+bits wide (ranks, positions, keys, point indices). Every scan of
+integers works on an int64 copy, so sums are exact whatever the width
+of their input.
 """
 
 from __future__ import annotations
@@ -114,6 +123,11 @@ class PointColumns:
         )
 
 
+def _int_type(low: int, high: int):
+    """int32 where every integer in ``low..high`` fits it, otherwise int64."""
+    return np.int32 if -(1 << 31) <= low and high < 1 << 31 else np.int64
+
+
 def fits_int64(widths, n_points: int, magnitude: int) -> bool:
     """Whether packed keys and every scan stay inside int64.
 
@@ -140,7 +154,7 @@ def _weights(weights, n_queries: int, monoid):
         magnitude = sum(map(abs, weights))
         if magnitude >= _INT64_LIMIT:
             return None
-        values = np.zeros(len(weights) + n_queries, dtype=np.int64)
+        values = np.zeros(len(weights) + n_queries, dtype=_int_type(-magnitude, magnitude))
         values[: len(weights)] = weights
         return Column(values), magnitude
     if not (types <= {int} or types == {float}):
@@ -156,8 +170,8 @@ def _weights(weights, n_queries: int, monoid):
         return None
     distinct, first, codes = np.unique(values, return_index=True, return_inverse=True)
     decode = [objects[i] for i in first.tolist()]
-    column = np.concatenate((codes[:-1], np.full(n_queries, codes[-1])))
-    return Column(column.astype(np.int64), decode), len(distinct)
+    column = np.concatenate((codes[:-1], np.full(n_queries, codes[-1])), dtype=_int_type(0, len(distinct)))
+    return Column(column, decode), len(distinct)
 
 
 def point_columns(data, queries, monoid, ranked: int) -> PointColumns | None:
@@ -208,7 +222,13 @@ def _pack(columns):
     the first column in the highest bits, so that packed values order
     as the rows do lexicographically; ``fields`` holds what
     :func:`_unpack` needs to read each column back. None when a column
-    is not integer or the columns need more than 63 bits."""
+    is not integer or the columns need more than 63 bits.
+
+    The packed values are built in place, one column at a time: shift
+    left by the column's width, add the column (widened to int64 as it
+    is read, so a narrow column cannot overflow) and subtract its
+    offset. No other full-length array is made.
+    """
     bounds = []
     total = 0
     for c in columns:
@@ -219,32 +239,36 @@ def _pack(columns):
         if low >= 0 and high.bit_length() == width:
             low = 0  # nothing to gain from an offset
         total += width
-        if total > 63:
+        if total > 63 or high >= _INT64_LIMIT:
             return None
         bounds.append((low, width))
-    packed = None
+    packed = np.zeros(len(columns[0]), dtype=np.int64)
     fields = []
-    shift = total
     for c, (low, width) in zip(columns, bounds):
-        shift -= width
-        part = c - low if low else c.astype(np.int64)
-        if shift:
-            part <<= shift
-        if packed is None:
-            packed = part
-        else:
-            packed |= part
-        fields.append((shift, low, width))
+        packed <<= width
+        np.add(packed, c, out=packed, dtype=np.int64, casting="unsafe")
+        if low:
+            packed -= low
+        total -= width
+        fields.append((total, low, width))
     return packed, fields
 
 
 def _unpack(packed, field):
+    """One column read back out of packed values: int32 where its field
+    fits 31 bits, otherwise int64."""
     shift, low, width = field
-    out = packed >> shift
+    dtype = _int_type(low, low + (1 << width) - 1) if width <= 31 else np.int64
+    out = np.empty(len(packed), dtype=dtype)
+    np.right_shift(packed, shift, out=out, casting="unsafe")
     out &= (1 << width) - 1
     if low:
         out += low
     return out
+
+
+def _row_index(n: int):
+    return np.arange(n, dtype=_int_type(0, n - 1))
 
 
 def _order(keys, n: int):
@@ -259,7 +283,7 @@ def _order(keys, n: int):
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     keys = [np.unique(k, return_inverse=True)[1] if k.dtype.kind == "f" else k for k in keys]
-    got = _pack([*keys, np.arange(n)])
+    got = _pack([*keys, _row_index(n)])
     if got is None:
         return np.lexsort(keys[::-1])
     packed, fields = got
@@ -270,7 +294,7 @@ def _order(keys, n: int):
 def _sorted_records(columns: list[Column]) -> list[Column]:
     """The columns of records sorted stably by the first column.
 
-    Where the int64 columns fit, they are packed into one int64 per row
+    Where the integer columns fit, they are packed into one int64 per row
     together with the row index, placed after the key, so that every
     packed value is distinct and sorting them gives the stable order;
     the other columns ride in the low bits and come back out of the
@@ -280,9 +304,9 @@ def _sorted_records(columns: list[Column]) -> list[Column]:
     """
     arrays = [c.a for c in columns]
     n = len(arrays[0])
-    if n > 1 and all(a.dtype == np.int64 for a in arrays):
+    if n > 1 and all(a.dtype.kind in "biu" for a in arrays):
         indexed = not (len(arrays) == 2 and np.all(arrays[1][1:] >= arrays[1][:-1]))
-        got = _pack([arrays[0], np.arange(n), *arrays[1:]] if indexed else arrays)
+        got = _pack([arrays[0], _row_index(n), *arrays[1:]] if indexed else arrays)
         if got is not None:
             packed, fields = got
             packed.sort()
@@ -355,22 +379,25 @@ class NumpyBackend:
         return Column(np.concatenate((_array(x), _array(y))))
 
     def scan(self, x, monoid):
-        a = _array(x)
-        return Column(_ufunc(monoid).accumulate(a.astype(np.int64) if a.dtype == bool else a))
+        out = _widened(_array(x))
+        return Column(_ufunc(monoid).accumulate(out, out=out))
 
     def exclusive_scan(self, x, monoid):
         a = _array(x)
         if len(a) == 0:
             return Column(a)
-        done = _ufunc(monoid).accumulate(a)
+        done = _widened(a)
+        _ufunc(monoid).accumulate(done, out=done)
         return Column(np.concatenate(([monoid.unit], done[:-1])))
 
     def segmented_scan(self, x, tags, monoid):
         """Inclusive scan restarted at every change of tag.
 
-        A sum is the running total minus the total before the segment.
-        A min or max scan works on integer codes offset per segment, so
-        that no value of an earlier segment can win in a later one.
+        A sum is one running total over the values, with each segment's
+        first value lowered by the total of the segment before it
+        (Blelloch, *Prefix Sums and Their Applications*). A min or max
+        scan works on integer codes offset per segment, so that no value
+        of an earlier segment can win in a later one.
         """
         if len(x) != len(tags):
             raise ValueError(f"sequences have different lengths: [{len(x)}, {len(tags)}]")
@@ -383,29 +410,38 @@ class NumpyBackend:
         starts = np.empty(n, dtype=bool)
         starts[0] = True
         np.not_equal(t[1:], t[:-1], out=starts[1:])
-        first = np.flatnonzero(starts)
-        lengths = np.diff(first, append=n)
         if ufunc is np.add:
-            out = np.cumsum(a)
-            out -= np.repeat(out[first] - a[first], lengths)
-            return Column(out, column.decode)
+            first = np.flatnonzero(starts)
+            del starts
+            out = _widened(a)
+            np.subtract.at(out, first[1:], np.add.reduceat(out, first)[:-1])
+            return Column(np.cumsum(out, out=out), column.decode)
         values = None
-        if a.dtype.kind not in "biu":
+        if a.dtype.kind in "biu":
+            a = a.astype(np.int64)
+        else:
             values, a = np.unique(a, return_inverse=True)
-        a = a.astype(np.int64)
         low = int(a.min())
         a -= low
-        offsets = np.repeat(np.arange(len(first)) * (int(a.max()) + 1), lengths)
-        if ufunc is np.maximum:
-            a += offsets
-            out = np.maximum.accumulate(a)
-        else:
-            a -= offsets
-            out = np.minimum.accumulate(a)
+        # each row's segment number (0 for the first) times the span of the codes
+        starts[0] = False
+        offsets = starts.astype(np.int64)
+        del starts
+        np.cumsum(offsets, out=offsets)
+        offsets *= int(a.max()) + 1
+        if ufunc is np.minimum:
             np.negative(offsets, out=offsets)
-        out -= offsets
-        out += low
-        return Column(out if values is None else values[out], column.decode)
+        a += offsets
+        ufunc.accumulate(a, out=a)
+        a -= offsets
+        a += low
+        return Column(a if values is None else values[a], column.decode)
+
+
+def _widened(a):
+    """A copy of ``a`` to scan in place: integers (bools included)
+    narrower than 64 bits become int64, so that sums stay exact."""
+    return a.astype(np.int64 if a.dtype.kind in "biu" and a.dtype.itemsize < 8 else a.dtype)
 
 
 def _code_arrays(expansion) -> list:
@@ -441,14 +477,15 @@ def expand(expansion, points: Column):
     record ``(0, point)`` per point, each ranked dimension repeats every
     record once per code of its point there and adds the codes, which
     gives the records in the order ``itertools.product`` does."""
-    key = np.zeros(len(points), dtype=np.int64)
-    owner = points.a
+    key = np.zeros(len(points), dtype=_int_type(0, (1 << bits.key_bits(expansion.widths)) - 1))
+    owner = points.a.astype(_int_type(0, len(points) - 1))
     for codes, per_point, starts in _code_arrays(expansion):
         n = per_point[owner]
-        index = np.repeat(starts[owner] - (np.cumsum(n) - n), n)
-        index += np.arange(len(index))
+        index = _row_index(int(n.sum()))
+        index += np.repeat((starts[owner] - (np.cumsum(n) - n)).astype(index.dtype), n)
         key = np.repeat(key, n)
-        key += codes[index]
+        key += codes.astype(key.dtype)[index]
+        del index
         owner = np.repeat(owner, n)
     return Records((Column(key), Column(owner)))
 
@@ -467,7 +504,7 @@ def select_totals(totals: Column, points: PointColumns, copies: Column, ends: Co
     group in ``totals`` or, for a query without copies, the unit its
     weight slot holds."""
     query = points.is_query
-    values = points.weight.a[query]
+    values = points.weight.a[query].astype(np.int64)
     found = copies.a[query] > 0
     values[found] = totals.a[ends.a[query][found] - 1]
     return Records((Column(points.id[query]), Column(values, points.weight.decode)))

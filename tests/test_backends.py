@@ -328,3 +328,51 @@ def test_columns_read_as_python_values():
     assert isinstance(picked, Column) and picked.decode is col.decode
     assert picked == ["a", "a"]
     assert type(Column(np.array([5]))[0]) is int
+
+
+def test_scans_of_int32_columns_sum_in_int64():
+    # prefix sums pass 2**31, where an int32 accumulator would wrap
+    values = [2**30 + k for k in range(5)] + [-(2**30), 7, 2**30 - 1]
+    column = Column(np.array(values, dtype=np.int32))
+    tags = [0, 0, 1, 1, 1, 1, 2, 2]
+    assert vec.scan(column, SUM) == seq.scan(values, SUM)
+    assert vec.exclusive_scan(column, SUM) == seq.exclusive_scan(values, SUM)
+    assert vec.exclusive_scan(column, MAX) == seq.exclusive_scan(values, MAX)
+    for monoid in (SUM, MIN, MAX):
+        assert vec.segmented_scan(column, tags, monoid) == seq.segmented_scan(values, tags, monoid)
+
+
+def test_pack_widens_int32_columns_before_offset_and_shift():
+    low, high = -(2**31), 2**31 - 1
+    extremes = np.array([high, low, 0, low, high, -1], dtype=np.int32)
+    small = np.array([5, 0, 7, 2, 1, 3], dtype=np.int32)
+    signed = np.array([-(2**20), 9, 2**20, 0, -3, 4], dtype=np.int64)
+    packed, fields = vector._pack([extremes, small, signed])
+    assert [width for _, _, width in fields] == [32, 3, 22]
+    for column, field in zip((extremes, small, signed), fields):
+        assert vector._unpack(packed, field).tolist() == column.tolist()
+    # mixed int32 keys and int64 payloads sort on the packed path, as seq sorts them
+    rng = random.Random(11)
+    keys = [rng.choice((low, high, 0, -5)) for _ in range(200)]
+    payload = [rng.randint(-(2**20), 2**20) for _ in range(200)]
+    columns = [Column(np.array(keys, dtype=np.int32)), Column(np.array(payload, dtype=np.int64))]
+    assert vector._pack([columns[0].a, vector._row_index(200), columns[1].a]) is not None
+    assert vec.sort(Records(columns)) == seq.sort(seq.zip(keys, payload))
+
+
+@pytest.mark.parametrize("dims, narrow_key", [(3, True), (4, False)])
+def test_expanded_columns_are_int32_where_keys_fit_31_bits(dims, narrow_key):
+    data, queries = generate_instance(40, 40, dims, seed=2)
+    cfg = PipelineConfig(dims=dims, monoid=SUM, variant="basic")
+    seq_results, _, _ = recorded_run("seq", data, queries, cfg)
+    results, stats, calls = recorded_run("numpy", data, queries, cfg)
+    assert [(r.id, repr(r.value)) for r in results] == [(r.id, repr(r.value)) for r in seq_results]
+    assert (sum(w + 1 for w in stats.widths) <= 31) == narrow_key
+    ops = [op for op, _ in calls]
+    expansion = calls[ops.index("flatmap")][1]
+    key_sort = calls[ops.index("segmented_scan") - 2][1]
+    for records in (expansion, key_sort):
+        assert len(records) == stats.expanded_count
+        key, point = records.columns
+        assert key.a.dtype == (np.int32 if narrow_key else np.int64)
+        assert point.a.dtype == np.int32  # a point index always fits 31 bits

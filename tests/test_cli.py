@@ -55,6 +55,7 @@ def test_run_stats_report(tmp_path):
     assert report["stats"]["expansion_vs_bound"] == report["stats"]["expanded_count"] / bound
     assert report["variant"] == "basic" and report["monoid"] == "count"
     assert report["backend"] == ("numpy" if HAVE_NUMPY else "seq")
+    assert report["peak_rss_mb"] > 0
     assert set(report["phases"]) >= {"load_seconds", "compute_seconds", "write_seconds"}
     # an empty run has no bound to compare against
     d, q = tmp_path / "d.csv", tmp_path / "q.csv"
