@@ -34,7 +34,7 @@ from .datafiles import (
 )
 from .monoids import FLOAT_SUM, MONOIDS
 from .oracle import brute_force
-from .pipeline import PipelineConfig, PointTable, run
+from .pipeline import PipelineConfig, PointTable, point_table, run
 
 # check_unique_ids is not called: the pipeline's own validation rejects
 # repeated ids. It stays reachable here because the benchmark's tracer
@@ -48,6 +48,7 @@ EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 
 CLI_MONOIDS = ("count", "sum", "min", "max")
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,12 +111,19 @@ def _load(args):
     return data, queries
 
 
-def _config(args, weights, dims: int) -> PipelineConfig:
+def _config(args, data: PointTable, dims: int) -> PipelineConfig:
     monoid = MONOIDS[args.monoid]
     # Float addition depends on the order of the terms, so float weights
     # are summed under the float monoid, which compares within a tolerance.
-    if args.monoid == "sum" and any(isinstance(w, float) for w in weights):
+    if args.monoid == "sum" and any(isinstance(w, float) for w in data.weights):
         monoid = FLOAT_SUM
+        # An integer sum past float range raises where a float meets it; the
+        # absolute integer weights bound every sum a run or the reference forms.
+        total = 0
+        for point_id, weight in zip(data.ids, data.weights):
+            total += abs(weight) if isinstance(weight, int) else 0
+            if total > _FLOAT_MAX:
+                raise InputError(f"point {point_id}: integer weights too large to sum with float weights")
     return PipelineConfig(dims=dims, monoid=monoid, variant=args.variant)
 
 
@@ -131,7 +139,7 @@ def cmd_run(args) -> int:
     t0 = time.perf_counter()
     data, queries = _load(args)
     t_load = time.perf_counter() - t0
-    cfg = _config(args, data.weights, (queries or data).dims)
+    cfg = _config(args, data, (queries or data).dims)
     t1 = time.perf_counter()
     results, stats = run(data, queries, cfg)
     t_compute = time.perf_counter() - t1
@@ -182,7 +190,7 @@ def _peak_rss_mb() -> float | None:
 
 def cmd_verify(args) -> int:
     data, queries = _load(args)
-    cfg = _config(args, data.weights, (queries or data).dims)
+    cfg = _config(args, data, (queries or data).dims)
     monoid = cfg.monoid
     results, _ = run(data, queries, cfg)
     expected = brute_force(data, queries, monoid)
@@ -223,11 +231,11 @@ def cmd_verify(args) -> int:
 
 
 def _relative_error(got, want) -> float:
-    """``|got - want| / |want|``; infinite against a reference of 0 or
-    of infinite size."""
+    """``|got - want| / |want|``; infinite against a reference of 0, or
+    where a value or the error is past float range."""
     try:
         error = abs(got - want) / abs(want)
-    except ZeroDivisionError:
+    except (ZeroDivisionError, OverflowError):
         return math.inf
     return error if error == error else math.inf  # NaN from inf - inf or inf / inf
 
@@ -255,9 +263,10 @@ def cmd_bench(args) -> int:
         total = args.n0 << round_no
         half = total // 2
         data, queries = generate_instance(half, total - half, dims, args.seed + round_no)
+        data = point_table(data, False, dims)
         if args.monoid == "count":
-            data = [p.__class__(p.id, p.coords, 1, False) for p in data]
-        cfg = _config(args, [p.weight for p in data], dims)
+            data = PointTable(data.ids, data.coords, [1] * len(data), False)
+        cfg = _config(args, data, dims)
         t0 = time.perf_counter()
         _, stats = run(data, queries, cfg)
         elapsed = time.perf_counter() - t0

@@ -6,9 +6,9 @@ fresh lists; callers are expected to treat every sequence as immutable.
 Two sequences are equal exactly when they have the same length and
 pairwise-equal elements.
 
-The contract is the set of operations the pipeline's chain calls:
-``concat``, ``sort``, ``map``, ``flatmap``, ``zip``, ``scan``,
-``exclusive_scan`` and ``segmented_scan``.
+The contract is the seven operations the pipeline's chain calls:
+``concat``, ``sort``, ``map``, ``flatmap``, ``zip``, ``scan`` and
+``segmented_scan``.
 
 :class:`SequentialBackend` implements the contract with one
 left-to-right pass per operation. Sorting is stable: ties under ``key``
@@ -30,7 +30,7 @@ contract over whole columns.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 
 from .monoids import Monoid
 
@@ -130,16 +130,17 @@ class SequentialBackend:
         x[0..i]. The last element equals the full fold."""
         return list(accumulate(x, monoid.combine))
 
-    def exclusive_scan(self, x, monoid: Monoid):
-        """Exclusive prefix aggregation: element i is the combine of the
-        unit and x[0..i-1]; element 0 is the unit."""
-        return list(islice(accumulate(x, monoid.combine, initial=monoid.unit), len(x)))
-
     def segmented_scan(self, x, tags, monoid: Monoid):
         """Inclusive scan restarted at every change of tag.
 
         ``tags`` must be sorted (equal tags contiguous) and as long as
         ``x``; each maximal run of equal tags is scanned independently.
+        A min-scan of the row indices gives every row the first row of
+        its run:
+
+        >>> from domscan.monoids import MIN
+        >>> SequentialBackend().segmented_scan(range(5), [0.5, 0.5, 1.0, 1.0, 2.0], MIN)
+        [0, 0, 2, 2, 4]
         """
         if len(x) != len(tags):
             raise ValueError(f"sequences have different lengths: [{len(x)}, {len(tags)}]")
@@ -191,9 +192,6 @@ class CountingBackend:
 
     def scan(self, x, monoid):
         return self._tally(self.inner.scan(x, monoid), (x,))
-
-    def exclusive_scan(self, x, monoid):
-        return self._tally(self.inner.exclusive_scan(x, monoid), (x,))
 
     def segmented_scan(self, x, tags, monoid):
         return self._tally(self.inner.segmented_scan(x, tags, monoid), (x, tags))

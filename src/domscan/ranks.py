@@ -11,7 +11,7 @@ encodes ranks as integer prefix codes (``bits.prefix_codes``);
 from __future__ import annotations
 
 from .bits import bin_fixed
-from .monoids import MAX, SUM
+from .monoids import MIN, SUM
 
 
 def width_for(unique: int) -> int:
@@ -19,12 +19,10 @@ def width_for(unique: int) -> int:
     return max(1, (unique - 1).bit_length())
 
 
-def _opens_rank(prev, cur, position):
-    # 1 where a new distinct value starts. The first element always opens
-    # a rank: its predecessor is the max unit -inf, which a -inf
-    # coordinate does not exceed. Only elementwise operators, so it also
-    # reads whole columns.
-    return ((prev < cur) | (position == 0)) * 1
+def _opens_rank(start, position):
+    # 1 where a run of equal values starts. Only elementwise operators,
+    # so it also reads whole columns.
+    return (start == position) * 1
 
 
 def rank_dimension(dq, dim: int, backend):
@@ -35,10 +33,11 @@ def rank_dimension(dq, dim: int, backend):
     coordinates receive equal ranks.
 
     Built from sequence primitives only: pair each coordinate with its
-    original position, sort, take every element's predecessor from an
-    exclusive max-scan, prefix-sum the flags marking where a new value
-    starts, then sort the ranks back into the original order. The flag
-    sum never decreases, so its last element is ``unique``.
+    original position, sort, flag each row that starts a run of equal
+    values (a min-scan of the row indices segmented by the coordinates
+    gives every row its run's first row), prefix-sum the flags, then sort
+    the ranks back into the original order. The flag sum never
+    decreases, so its last element is ``unique``.
     """
     if not dq:
         raise ValueError("rank_dimension: empty input")
@@ -46,8 +45,8 @@ def rank_dimension(dq, dim: int, backend):
     n = len(dq)
     coords = b.map(lambda p: p.coords[dim], dq)
     scoords, positions = b.sort(b.zip(coords, range(n))).columns
-    prev = b.exclusive_scan(scoords, MAX)
-    flags = b.map(_opens_rank, prev, scoords, range(n))
+    start = b.segmented_scan(range(n), scoords, MIN)
+    flags = b.map(_opens_rank, start, range(n))
     sorted_ranks = b.scan(flags, SUM)
     unique = sorted_ranks[-1]
     restored = b.sort(b.zip(positions, sorted_ranks))

@@ -164,7 +164,7 @@ def _weights(weights, n_queries: int, monoid):
         values = np.array(objects, dtype=np.float64)
     except OverflowError:
         return None
-    if values.tolist() != objects:  # also rejects NaN
+    if values.tolist() != objects:  # an int that float64 rounds
         return None
     if np.any(np.signbit(values) & (values == 0)):
         return None
@@ -381,14 +381,6 @@ class NumpyBackend:
     def scan(self, x, monoid):
         out = _widened(_array(x))
         return Column(_ufunc(monoid).accumulate(out, out=out))
-
-    def exclusive_scan(self, x, monoid):
-        a = _array(x)
-        if len(a) == 0:
-            return Column(a)
-        done = _widened(a)
-        _ufunc(monoid).accumulate(done, out=done)
-        return Column(np.concatenate(([monoid.unit], done[:-1])))
 
     def segmented_scan(self, x, tags, monoid):
         """Inclusive scan restarted at every change of tag.

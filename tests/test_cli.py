@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from pathlib import Path
 
@@ -217,6 +218,44 @@ def test_run_sum_of_float_weights_prints_unit_as_zero(tmp_path, capsys):
     q.write_text("id,x1\n5,0\n6,3\n")
     assert main(["run", str(d), str(q), "--monoid", "sum"]) == EXIT_OK
     assert capsys.readouterr().out == "5,0\n6,3.5\n"
+
+
+def _huge_weight_instance(tmp_path):
+    """A float weight next to an integer weight past float range; query 5
+    dominates nothing, 6 both points, 7 the float-weighted one."""
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    d.write_text(f"id,x1,weight\n0,1,1.5\n1,2,{10**400}\n")
+    q.write_text("id,x1\n5,0\n6,3\n7,1.5\n")
+    return str(d), str(q)
+
+
+def test_sum_of_float_and_out_of_range_int_weights_is_an_input_error(tmp_path, capsys):
+    files = _huge_weight_instance(tmp_path)
+    message = "domscan: point 1: integer weights too large to sum with float weights\n"
+    for command in ("run", "verify"):
+        assert main([command, *files, "--monoid", "sum"]) == EXIT_INPUT
+        assert capsys.readouterr().err == message
+    # integer weights that each convert to float but whose sum does not
+    d, q = tmp_path / "d2.csv", tmp_path / "q2.csv"
+    d.write_text(f"id,x1,weight\n0,1,{2**1023}\n1,2,{2**1023}\n2,3,1.5\n")
+    q.write_text("id,x1\n5,9\n")
+    assert main(["run", str(d), str(q), "--monoid", "sum"]) == EXIT_INPUT
+    assert capsys.readouterr().err == message
+    # max compares without adding, so it answers exactly
+    assert main(["run", *files, "--monoid", "max"]) == EXIT_OK
+    assert capsys.readouterr().out == f"5,-inf\n6,{10**400}\n7,1.5\n"
+    assert main(["verify", *files, "--monoid", "max"]) == EXIT_OK
+
+
+def test_verify_reports_errors_past_float_range_as_infinite(tmp_path, capsys, monkeypatch):
+    files = _huge_weight_instance(tmp_path)
+    monkeypatch.setattr(domscan.cli, "brute_force", lambda *args: {5: -math.inf, 6: 1, 7: 10**400})
+    assert main(["verify", *files, "--monoid", "max"]) == EXIT_MISMATCH
+    first, summary = capsys.readouterr().out.splitlines()
+    assert first == f"mismatch at query 6: pipeline {10**400}, reference 1 (max, compared exactly)"
+    assert summary == "2 of 3 queries mismatch; worst relative error inf at query 6; first mismatching ids: 6, 7"
+    assert domscan.cli._relative_error(10**400, 1) == math.inf
+    assert domscan.cli._relative_error(1.5, 10**400) == math.inf
 
 
 def test_verify_mismatch_reports_exact_values_and_tolerance(tmp_path, capsys, monkeypatch):

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from domscan.monoids import MAX, SUM
 from domscan.primitives import Records, SequentialBackend
 
-NEG_INF = float("-inf")
-
 b = SequentialBackend()
 
 int_lists = st.lists(st.integers(min_value=-1000, max_value=1000), max_size=60)
@@ -66,16 +64,6 @@ def test_scan():
     assert b.scan([5], MAX) == [5]
 
 
-def test_exclusive_scan():
-    assert b.exclusive_scan([1, 2, 3], SUM) == [0, 1, 3]
-    assert b.exclusive_scan([7], SUM) == [0]
-    assert b.exclusive_scan([], SUM) == []
-    # under MAX, a nondecreasing sequence shifts right behind -inf
-    assert b.exclusive_scan([1, 2, 3], MAX) == [NEG_INF, 1, 2]
-    assert b.exclusive_scan([7], MAX) == [NEG_INF]
-    assert b.exclusive_scan([], MAX) == []
-
-
 def test_segmented_scan():
     assert b.segmented_scan([1, 2, 3, 4, 5, 6], [0, 0, 1, 1, 1, 2], SUM) == [1, 3, 3, 7, 12, 6]
     assert b.segmented_scan([9], ["t"], SUM) == [9]
@@ -111,13 +99,6 @@ def test_scan_last_equals_fold(xs):
     assert len(out) == len(xs)
     if xs:
         assert out[-1] == reduce(SUM.combine, xs)
-
-
-@given(int_lists)
-def test_scan_decomposes_into_exclusive_scan(xs):
-    incl = b.scan(xs, SUM)
-    excl = b.exclusive_scan(xs, SUM)
-    assert incl == [SUM.combine(e, x) for e, x in zip(excl, xs)]
 
 
 @given(int_lists)
