@@ -101,21 +101,25 @@ def build_parser() -> _Parser:
 
 
 def _load(args):
-    """The two files as point tables; the pipeline validates the points."""
+    """The two files as point tables, and the run's configuration; the
+    pipeline validates the points."""
     data = read_points(args.data_file, queries=False, dims=args.dim)
     queries = read_points(args.query_file, queries=True, dims=args.dim)
     if data and queries and data.dims != queries.dims:
         raise InputError("data and query files disagree on the coordinate count")
+    return _setup(args, data, queries, (queries or data).dims)
+
+
+def _setup(args, data: PointTable, queries, dims: int):
+    """``(data, queries, cfg)`` for one run of ``args.monoid``: ``count``
+    gives every data point weight 1, and ``sum`` over any float weight
+    runs under the float monoid."""
+    monoid = MONOIDS[args.monoid]
     if args.monoid == "count":
         data = PointTable(data.ids, data.coords, [1] * len(data), False)
-    return data, queries
-
-
-def _config(args, data: PointTable, dims: int) -> PipelineConfig:
-    monoid = MONOIDS[args.monoid]
-    # Float addition depends on the order of the terms, so float weights
-    # are summed under the float monoid, which compares within a tolerance.
-    if args.monoid == "sum" and any(isinstance(w, float) for w in data.weights):
+    elif args.monoid == "sum" and any(isinstance(w, float) for w in data.weights):
+        # Float addition depends on the order of the terms, so float weights
+        # are summed under the float monoid, which compares within a tolerance.
         monoid = FLOAT_SUM
         # An integer sum past float range raises where a float meets it; the
         # absolute integer weights bound every sum a run or the reference forms.
@@ -124,7 +128,7 @@ def _config(args, data: PointTable, dims: int) -> PipelineConfig:
             total += abs(weight) if isinstance(weight, int) else 0
             if total > _FLOAT_MAX:
                 raise InputError(f"point {point_id}: integer weights too large to sum with float weights")
-    return PipelineConfig(dims=dims, monoid=monoid, variant=args.variant)
+    return data, queries, PipelineConfig(dims=dims, monoid=monoid, variant=args.variant)
 
 
 def _distinct_outputs(first: str | None, second: str | None, flags: str) -> None:
@@ -137,9 +141,8 @@ def _distinct_outputs(first: str | None, second: str | None, flags: str) -> None
 def cmd_run(args) -> int:
     _distinct_outputs(args.output, args.stats, "--output and --stats")
     t0 = time.perf_counter()
-    data, queries = _load(args)
+    data, queries, cfg = _load(args)
     t_load = time.perf_counter() - t0
-    cfg = _config(args, data, (queries or data).dims)
     t1 = time.perf_counter()
     results, stats = run(data, queries, cfg)
     t_compute = time.perf_counter() - t1
@@ -189,19 +192,13 @@ def _peak_rss_mb() -> float | None:
 
 
 def cmd_verify(args) -> int:
-    data, queries = _load(args)
-    cfg = _config(args, data, (queries or data).dims)
+    data, queries, cfg = _load(args)
     monoid = cfg.monoid
     results, _ = run(data, queries, cfg)
     expected = brute_force(data, queries, monoid)
     ids, values = list(results.ids), list(results.values)
     wanted = list(map(expected.__getitem__, ids))
-    # NaN (an inf - inf sum) agrees with NaN here, not in value_eq
-    bad = [
-        i
-        for i, (got, want) in enumerate(zip(values, wanted))
-        if not (monoid.value_eq(got, want) or got != got and want != want)
-    ]
+    bad = [i for i, (got, want) in enumerate(zip(values, wanted)) if not monoid.value_eq(got, want)]
     if bad:
         first = bad[0]
         rule = f"within tolerance {monoid.tolerance!r}" if monoid.tolerance else "exactly"
@@ -263,10 +260,7 @@ def cmd_bench(args) -> int:
         total = args.n0 << round_no
         half = total // 2
         data, queries = generate_instance(half, total - half, dims, args.seed + round_no)
-        data = point_table(data, False, dims)
-        if args.monoid == "count":
-            data = PointTable(data.ids, data.coords, [1] * len(data), False)
-        cfg = _config(args, data, dims)
+        data, queries, cfg = _setup(args, point_table(data, False, dims), queries, dims)
         t0 = time.perf_counter()
         _, stats = run(data, queries, cfg)
         elapsed = time.perf_counter() - t0

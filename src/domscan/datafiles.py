@@ -8,10 +8,11 @@ row per query, ascending by id, with no header.
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import repeat
 from typing import Any
 
@@ -20,10 +21,15 @@ from .primitives import Records
 
 
 def _parse_number(text: str) -> Any:
+    """An ``int`` when the text is an integer literal, exactly whatever
+    its length, and otherwise a ``float``."""
     try:
         return int(text)
     except ValueError:
-        return float(text)
+        number = float(text)
+    if math.isinf(number) and text.strip().lstrip("+-").replace("_", "").isdecimal():
+        return int(decimal.Decimal(text))  # past the digit limit of int(), which float reads as inf
+    return number
 
 
 def read_points(path: str, *, queries: bool, dims: int | None = None) -> PointTable:
@@ -123,8 +129,8 @@ def check_unique_ids(data: list[Point], queries: list[Point]) -> None:
 def format_value(value: Any) -> str:
     """Stable text for an aggregated value.
 
-    Integers print as integers, floats with 12 significant digits, and
-    the min/max units as "+inf" / "-inf".
+    Integers print as integers, exactly whatever their length, floats
+    with 12 significant digits, and the min/max units as "+inf" / "-inf".
     """
     if isinstance(value, float):
         if value == float("inf"):
@@ -132,7 +138,9 @@ def format_value(value: Any) -> str:
         if value == float("-inf"):
             return "-inf"
         return f"{value:.12g}"
-    return str(value)
+    with suppress(ValueError):  # raised by an int past the digit limit of str()
+        return str(value)
+    return str(decimal.Decimal(value))
 
 
 def format_column(values) -> list[str]:
@@ -148,7 +156,8 @@ def format_column(values) -> list[str]:
         return list(map(texts.__getitem__, values.a.tolist()))
     values = list(values)
     if set(map(type, values)) <= {int}:
-        return list(map(str, values))
+        with suppress(ValueError):  # an int too long for str(): format_value prints it
+            return list(map(str, values))
     return list(map(format_value, values))
 
 

@@ -37,7 +37,11 @@ class Monoid:
     ufunc: str | None = None
 
     def value_eq(self, a: Any, b: Any) -> bool:
-        """Equality between two aggregation results under this monoid."""
+        """Equality between two aggregation results under this monoid.
+        Two NaNs (a sum of ``+inf`` and ``-inf``) are equal, and NaN
+        against any other value is not."""
+        if a != a:
+            return b != b
         if self.tolerance:
             return math.isclose(a, b, rel_tol=self.tolerance, abs_tol=self.tolerance)
         return a == b

@@ -142,8 +142,7 @@ class SequentialBackend:
         >>> SequentialBackend().segmented_scan(range(5), [0.5, 0.5, 1.0, 1.0, 2.0], MIN)
         [0, 0, 2, 2, 4]
         """
-        if len(x) != len(tags):
-            raise ValueError(f"sequences have different lengths: [{len(x)}, {len(tags)}]")
+        _check_lengths((x, tags))
         combine = monoid.combine
         out: list = []
         append = out.append
@@ -214,10 +213,10 @@ def make_backend(data, queries, monoid, ranked):
     """
     if monoid.ufunc is not None and (data or queries):
         try:
-            from .vector import NumpyBackend
+            from .vector import NumpyBackend, point_columns
         except ImportError:
             return SequentialBackend()
-        backend = NumpyBackend.for_input(data, queries, monoid, ranked)
-        if backend is not None:
-            return backend
+        points = point_columns(data, queries, monoid, ranked)
+        if points is not None:
+            return NumpyBackend(data, queries, points)
     return SequentialBackend()

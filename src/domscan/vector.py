@@ -3,10 +3,10 @@
 :func:`domscan.primitives.make_backend` imports this module on the
 first run that qualifies, so ``import domscan`` never loads numpy.
 
-A backend is built for one run's point tables
-(:meth:`NumpyBackend.for_input`), which it converts to
-:class:`PointColumns`; it is built only when the conversion keeps every
-result of the sequential backend, down to the type of each value:
+A backend is built for one run's point tables, converted to
+:class:`PointColumns` by :func:`point_columns`; it is built only when
+the conversion keeps every result of the sequential backend, down to
+the type of each value:
 
 - every coordinate round-trips through float64 exactly, and every id
   is an ``int`` that fits int64;
@@ -331,13 +331,6 @@ class NumpyBackend:
     def __init__(self, data=(), queries=(), points=None):
         self._input = (data, queries, points)
 
-    @classmethod
-    def for_input(cls, data, queries, monoid, ranked: int):
-        """A backend for one run's point tables, or None when the run
-        must stay sequential."""
-        points = point_columns(data, queries, monoid, ranked)
-        return None if points is None else cls(data, queries, points)
-
     def sort(self, x, key=None):
         """Stable sort; :class:`Records` are ordered by their first column,
         :class:`PointColumns` by the columns ``key`` returns."""
@@ -391,8 +384,7 @@ class NumpyBackend:
         scan works on integer codes offset per segment, so that no value
         of an earlier segment can win in a later one.
         """
-        if len(x) != len(tags):
-            raise ValueError(f"sequences have different lengths: [{len(x)}, {len(tags)}]")
+        _check_lengths((x, tags))
         column = _column(x)
         a, t = column.a, _array(tags)
         n = len(a)

@@ -247,6 +247,31 @@ def test_sum_of_float_and_out_of_range_int_weights_is_an_input_error(tmp_path, c
     assert main(["verify", *files, "--monoid", "max"]) == EXIT_OK
 
 
+def test_integers_past_the_digit_limit_are_read_and_printed_exactly(tmp_path, capsys):
+    """Python reads and writes ints of at most 4,300 digits as text;
+    weights and answers past that stay exact, never ``+inf``."""
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    d.write_text(f"id,x1,weight\n0,1,{'1' + '0' * 5000}\n1,2,3\n")
+    q.write_text("id,x1\n5,3\n6,0\n")
+    for monoid, answer in (("max", f"5,1{'0' * 5000}\n6,-inf\n"), ("sum", f"5,1{'0' * 4999}3\n6,0\n")):
+        assert main(["run", str(d), str(q), "--monoid", monoid]) == EXIT_OK
+        assert capsys.readouterr().out == answer
+        assert main(["verify", str(d), str(q), "--monoid", monoid]) == EXIT_OK
+        assert capsys.readouterr().out == "verified 2 queries\n"
+    # two weights that each parse, with a sum one digit longer than the limit
+    d.write_text(f"id,x1,weight\n0,1,{'9' * 4300}\n1,2,{'9' * 4300}\n")
+    q.write_text("id,x1\n5,3\n")
+    out, expected = tmp_path / "out.csv", tmp_path / "expected.csv"
+    assert main(["run", str(d), str(q), "--monoid", "sum", "--output", str(out)]) == EXIT_OK
+    assert out.read_text() == f"5,1{'9' * 4299}8\n"
+    expected.write_text(f"5,1{'9' * 4299}8\n")
+    assert main(["verify", str(d), str(q), "--monoid", "sum", "--expected", str(expected)]) == EXIT_OK
+    assert capsys.readouterr().out == "verified 1 queries\n"
+    expected.write_text(f"5,1{'9' * 4299}7\n")
+    assert main(["verify", str(d), str(q), "--monoid", "sum", "--expected", str(expected)]) == EXIT_MISMATCH
+    assert capsys.readouterr().out.startswith("mismatch at line 1: pipeline '5,1999")
+
+
 def test_verify_reports_errors_past_float_range_as_infinite(tmp_path, capsys, monkeypatch):
     files = _huge_weight_instance(tmp_path)
     monkeypatch.setattr(domscan.cli, "brute_force", lambda *args: {5: -math.inf, 6: 1, 7: 10**400})

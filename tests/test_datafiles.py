@@ -1,7 +1,9 @@
 """read_points against a line-by-line reference parser."""
 
 import math
+import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -9,8 +11,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domscan import datafiles
-from domscan.datafiles import InputError, _parse_number, read_points
+from domscan.datafiles import InputError, read_points
 from domscan.pipeline import data_point, query_point
+
+
+@contextmanager
+def unlimited_digits():
+    """Python's conversions between int and text without their digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def reference_number(text):
+    """The cell as an ``int`` of any length, or else as a ``float``."""
+    with unlimited_digits():
+        try:
+            return int(text)
+        except ValueError:
+            return float(text)
 
 
 def reference_read_points(path, *, queries, dims=None):
@@ -47,7 +69,7 @@ def reference_read_points(path, *, queries, dims=None):
         try:
             pid = int(cells[0])
             coords = tuple(float(c) for c in cells[1 : 1 + m])
-            weight = _parse_number(cells[1 + m]) if has_weight else 1
+            weight = reference_number(cells[1 + m]) if has_weight else 1
         except ValueError as exc:
             raise InputError(f"{path}: line {lineno}: {exc}") from None
         if any(map(math.isnan, coords)):
@@ -61,7 +83,10 @@ def reference_read_points(path, *, queries, dims=None):
 # Cells that parse, then cells that do not (or parse to NaN).
 IDS = ["0", "7", "+7", "-3", "1_000", "12"], ["abc", "", "1.5"]
 COORDS = ["0.5", "1e3", "+inf", "-inf", "1_000", "+7", "-0.0", "2"], ["nan", "x", ""]
-WEIGHTS = ["5", "5.0", "-2", "1e3", "+inf", "1_000", "+7"], ["nan", "w", ""]
+# Integers of 4,300 digits and more: Python's limit on the digits of an
+# int read from text, which the weights are read past.
+LONG = ["9" * 4300, "1" + "0" * 5000, "-" + "9" * 4400, "1_" + "0" * 4400]
+WEIGHTS = ["5", "5.0", "-2", "1e3", "+inf", "1_000", "+7", *LONG], ["nan", "w", ""]
 SPACE = st.sampled_from(["", "", " ", "  ", "\t"])
 ENDS = ["\n", "\r\n", "\r"]
 BLANK = st.sampled_from(["", " ", "   ", "\t"])
@@ -109,7 +134,8 @@ def parse(parser, path, queries, dims):
         points = parser(path, queries=queries, dims=dims)
     except InputError as exc:
         return str(exc)
-    return [(repr(p.id), tuple(map(repr, p.coords)), repr(p.weight), p.is_query) for p in points]
+    with unlimited_digits():
+        return [(repr(p.id), tuple(map(repr, p.coords)), repr(p.weight), p.is_query) for p in points]
 
 
 @given(csv_files())

@@ -44,6 +44,14 @@ def test_value_eq_tolerance_for_float_sum():
     assert not FLOAT_SUM.value_eq(0.0, 1e-6)
 
 
+@pytest.mark.parametrize("monoid", MONOIDS.values(), ids=lambda m: m.name)
+def test_value_eq_nan_agrees_only_with_nan(monoid):
+    nan = float("nan")
+    assert monoid.value_eq(nan, nan)
+    assert not monoid.value_eq(nan, 1.0)
+    assert not monoid.value_eq(1.0, nan)
+
+
 def test_units_are_neutral_for_min_max():
     assert MAX.combine(MAX.unit, 5) == 5
     assert MIN.combine(MIN.unit, 5) == 5
