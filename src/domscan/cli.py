@@ -24,6 +24,7 @@ import time
 
 from .datafiles import (
     InputError,
+    format_value,
     generate_instance,
     read_lines,
     read_points,
@@ -203,7 +204,8 @@ def cmd_verify(args) -> int:
         first = bad[0]
         rule = f"within tolerance {monoid.tolerance!r}" if monoid.tolerance else "exactly"
         print(
-            f"mismatch at query {ids[first]}: pipeline {values[first]!r}, reference {wanted[first]!r}"
+            f"mismatch at query {ids[first]}: pipeline {_shown(values[first])},"
+            f" reference {_shown(wanted[first])}"
             f" ({monoid.name}, compared {rule})"
         )
         error = {i: _relative_error(values[i], wanted[i]) for i in bad}
@@ -227,6 +229,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _shown(value) -> str:
+    """``repr`` of a value, except that an int prints exactly, as
+    :func:`format_value` prints it, even past the digit limit of
+    ``repr``."""
+    return format_value(value) if isinstance(value, int) else repr(value)
+
+
 def _relative_error(got, want) -> float:
     """``|got - want| / |want|``; infinite against a reference of 0, or
     where a value or the error is past float range."""
@@ -239,8 +248,7 @@ def _relative_error(got, want) -> float:
 
 def cmd_gen(args) -> int:
     if args.n < 0 or args.q < 0 or args.dim < 1:
-        print("domscan: sizes must be nonnegative and --dim positive", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("sizes must be nonnegative and --dim positive")
     _distinct_outputs(args.data, args.queries, "--data and --queries")
     data, queries = generate_instance(args.n, args.q, args.dim, args.seed, args.distribution)
     write_instance(args.data, args.queries, data, queries, args.dim)
@@ -249,8 +257,7 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.n0 < 1 or args.rounds < 1 or (args.dim is not None and args.dim < 1):
-        print("domscan: --n0, --rounds and --dim must be positive", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("--n0, --rounds and --dim must be positive")
     dims = 2 if args.dim is None else args.dim
     print(
         f"{'n_data':>8} {'n_query':>8} {'expanded':>10} {'elements':>12} {'calls':>6}"

@@ -89,7 +89,9 @@ def _parse_rows(rows: list[str], ncols: int, m: int, has_weight: bool, queries: 
     """The rows as a table of ``m`` coordinate columns. A row with the
     wrong number of cells, a cell that does not parse, or a NaN
     coordinate or weight raises ``ValueError``; for a single row its
-    message is the fault, found in the order id, coordinates, weight.
+    message is the fault, found in the order id, coordinates, weight;
+    an id written with more digits than Python reads as an ``int`` is
+    too long.
 
     ``int`` and ``float`` ignore surrounding whitespace as ``str.strip``
     does, so a row gives the same values with its cells stripped or not.
@@ -99,7 +101,13 @@ def _parse_rows(rows: list[str], ncols: int, m: int, has_weight: bool, queries: 
     if wrong:
         raise ValueError(f"expected {ncols} columns, found {min(wrong) + 1}")
     cells = ",".join(rows).split(",") if rows else []
-    ids = list(map(int, cells[0::ncols]))
+    try:
+        ids = list(map(int, cells[0::ncols]))
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before Python 3.10.7
+        if n == 1 and 0 < limit < len(cells[0].strip().lstrip("+-").replace("_", "")):
+            raise ValueError(f"id too long: more than {limit} digits") from None
+        raise
     coords = [list(map(float, cells[1 + d :: ncols])) for d in range(m)]
     nan_weight = False
     if not has_weight:

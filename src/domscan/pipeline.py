@@ -33,9 +33,9 @@ tie-ordered sequence. The expansion emits points in index order and
 the sorts are stable, so sorting by the key alone leaves every key
 segment in tie order: data before queries in the basic variant, by the
 raw final coordinate (queries first on ties) in the improved one, then
-by id. After the regroup, point i's group holds its copies, ending
-just before row ``ends[i]``, the running count of copies in point
-order; a query with no copies gets the monoid unit.
+by id. After the regroup the point column is sorted, so point i's
+group ends where that column moves past i, found by binary search; a
+query with no copies gets the monoid unit.
 
 The answers come back as :class:`QueryResults`, two columns (ids and
 values) that read as a list of :class:`QueryResult`.
@@ -49,13 +49,14 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product, starmap
 from operator import attrgetter
 from typing import Any, NamedTuple
 
 from . import bits
-from .monoids import SUM, Monoid
+from .monoids import Monoid
 from .primitives import CountingBackend, Records, make_backend
 # binarize, the bitstring form of the ranks, is not part of the chain,
 # which works on integer prefix codes; it stays reachable here because
@@ -63,13 +64,13 @@ from .primitives import CountingBackend, Records, make_backend
 from .ranks import binarize, rank_dimension, width_for  # noqa: F401
 
 # Primitive invocations per run are a function of the dimension count
-# only: 8 per ranked dimension plus 14 fixed calls. The documented
+# only: 8 per ranked dimension plus 12 fixed calls. The documented
 # budget is the 6m+9 instruction outline plus the allowance below,
 # which covers what that outline leaves implicit (realignment of ranks
 # to input order, the tie-order sort, the weight gather after the key
-# sort, and locating, selecting and ordering each query's total) for
-# dimensions up to four.
-PLUMBING_CALLS = 13
+# sort, and selecting and ordering each query's total) for dimensions
+# up to four.
+PLUMBING_CALLS = 11
 
 
 class InputError(ValueError):
@@ -313,8 +314,7 @@ def run(data, queries, cfg: PipelineConfig):
 
     n = len(dq)
     wts = b.map(attrgetter("weight"), dq)
-    expansion = _Expansion(dq, ranks, widths)
-    edq = b.flatmap(expansion, range(n))
+    edq = b.flatmap(_Expansion(dq, ranks, widths), range(n))
     expanded = len(edq)
     mark("expand")
 
@@ -334,15 +334,11 @@ def run(data, queries, cfg: PipelineConfig):
     points, grouped = b.sort(b.zip(points, a1)).columns
     del a1
     totals = b.segmented_scan(grouped, points, monoid)
-    del points, grouped
+    del grouped
     mark("aggregate")
 
-    # Point i's group holds its copies[i] rows and ends before row
-    # ends[i], the running count of copies in point order.
-    copies = b.map(_Copies(expansion), range(n))
-    ends = b.scan(copies, SUM)
-    rows = b.flatmap(_Total(totals), dq, copies, ends)
-    del totals
+    rows = b.flatmap(_Total(points, totals), dq, range(n))
+    del points, totals
     ids, values = b.sort(rows).columns
     mark("project")
     return QueryResults(ids, values), stats(expanded, widths)
@@ -377,7 +373,6 @@ class _Expansion:
         self.widths = widths
         self.shifts = bits.field_offsets(widths)
         self._tables = None
-        self.arrays = None  # the tables as arrays, made by domscan.vector
 
     @property
     def tables(self) -> list:
@@ -410,36 +405,26 @@ class _Expansion:
         return expand(self, points)
 
 
-class _Copies:
-    """Map kernel: the number of records the point with index ``point``
-    expands to, the product of its code counts."""
-
-    def __init__(self, expansion):
-        self.expansion = expansion
-
-    def __call__(self, point):
-        return math.prod(len(table[point]) for table in self.expansion.tables)
-
-    def columns(self, points):
-        from .vector import copy_counts
-
-        return copy_counts(self.expansion, points)
-
-
 class _Total:
-    """Flatmap kernel: a query's ``(id, total)`` row; nothing for a data
-    point. A query's total is the last row of its group in ``totals``,
-    or its own weight, the monoid unit, when it has no copies."""
+    """Flatmap kernel: the ``(id, total)`` row of the query with index
+    ``i``; nothing for a data point. The regrouped point column
+    ``points`` is sorted, so the query's group ends where that column
+    moves past ``i``. Its total is the last row of the group in
+    ``totals``, or its own weight, the monoid unit, when it has no
+    copies."""
 
-    def __init__(self, totals):
+    def __init__(self, points, totals):
+        self.points = points
         self.totals = totals
 
-    def __call__(self, point, copies, end):
+    def __call__(self, point, i):
         if not point.is_query:
             return Records(([], []))
-        return Records(([point.id], [self.totals[end - 1] if copies else point.weight]))
+        end = bisect_right(self.points, i)
+        found = end > 0 and self.points[end - 1] == i
+        return Records(([point.id], [self.totals[end - 1] if found else point.weight]))
 
-    def columns(self, points, copies, ends):
+    def columns(self, dq, indices):
         from .vector import select_totals
 
-        return select_totals(self.totals, points, copies, ends)
+        return select_totals(self.points, self.totals, dq, indices)

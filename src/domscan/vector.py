@@ -434,25 +434,23 @@ def _code_arrays(expansion) -> list:
     codes of every (rank, role) pair that occurs, pair by pair and
     shortest prefix first, and per point how many codes its pair has and
     where they start. A point's codes depend only on its rank and role,
-    so each pair is expanded once, however many points share it.
-    Computed once per kernel."""
-    if expansion.arrays is None:
-        expansion.arrays = []
-        for ranks, width, shift in zip(expansion.ranks, expansion.widths, expansion.shifts):
-            # one row per pair 2·(rank - 1) + is_query that occurs
-            pair = (ranks.a - 1) * 2 + expansion.dq.is_query
-            present = np.zeros(2 << width, dtype=bool)
-            present[pair] = True
-            row = np.cumsum(present)[pair] - 1
-            rows = np.flatnonzero(present)[:, None]
-            del pair, present
-            x = rows >> 1
-            lengths = np.arange(width)
-            match = bits.next_bit(x, lengths, width) == (rows & 1)
-            codes = bits.prefix_code(x >> (width - lengths), lengths, width)[match] << shift
-            counts = match.sum(axis=1)
-            expansion.arrays.append((codes, counts[row], (np.cumsum(counts) - counts)[row]))
-    return expansion.arrays
+    so each pair is expanded once, however many points share it."""
+    arrays = []
+    for ranks, width, shift in zip(expansion.ranks, expansion.widths, expansion.shifts):
+        # one row per pair 2·(rank - 1) + is_query that occurs
+        pair = (ranks.a - 1) * 2 + expansion.dq.is_query
+        present = np.zeros(2 << width, dtype=bool)
+        present[pair] = True
+        row = np.cumsum(present)[pair] - 1
+        rows = np.flatnonzero(present)[:, None]
+        del pair, present
+        x = rows >> 1
+        lengths = np.arange(width)
+        match = bits.next_bit(x, lengths, width) == (rows & 1)
+        codes = bits.prefix_code(x >> (width - lengths), lengths, width)[match] << shift
+        counts = match.sum(axis=1)
+        arrays.append((codes, counts[row], (np.cumsum(counts) - counts)[row]))
+    return arrays
 
 
 def expand(expansion, points: Column):
@@ -474,21 +472,17 @@ def expand(expansion, points: Column):
     return Records((Column(key), Column(owner)))
 
 
-def copy_counts(expansion, points):
-    """How many records each point (an index array) expands to."""
-    out = np.ones(len(points), dtype=np.int64)
-    for _, counts, _ in _code_arrays(expansion):
-        out *= counts[points]
-    return out
-
-
-def select_totals(totals: Column, points: PointColumns, copies: Column, ends: Column):
+def select_totals(points: Column, totals: Column, dq: PointColumns, indices: Column):
     """Whole-column form of the pipeline's final selection: one
     ``(id, value)`` row per query, the value being the last row of its
-    group in ``totals`` or, for a query without copies, the unit its
-    weight slot holds."""
-    query = points.is_query
-    values = points.weight.a[query].astype(np.int64)
-    found = copies.a[query] > 0
-    values[found] = totals.a[ends.a[query][found] - 1]
-    return Records((Column(points.id[query]), Column(values, points.weight.decode)))
+    group in ``totals``, found by binary search in the sorted regrouped
+    ``points``, or, for a query without copies, the unit its weight
+    slot holds."""
+    query = dq.is_query
+    index = indices.a[query].astype(points.a.dtype)  # so searchsorted converts no column
+    values = dq.weight.a[query].astype(np.int64)
+    last = np.searchsorted(points.a, index, side="right") - 1
+    found = last >= 0
+    found[found] = points.a[last[found]] == index[found]
+    values[found] = totals.a[last[found]]
+    return Records((Column(dq.id[query]), Column(values, dq.weight.decode)))

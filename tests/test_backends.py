@@ -139,6 +139,41 @@ def test_numpy_matches_sequential_call_by_call(variant, name, tmp_path):
             assert got_stats.elements_processed == stats.elements_processed
 
 
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_ids_past_62_bits_sort_by_lexsort_as_sequential(variant):
+    # with the row index, ids this wide need more than 63 bits, so the
+    # tie-order sort and the final sort cannot pack their keys
+    rng = random.Random(variant)
+    data, queries = generate_instance(40, 40, 2, seed=4, distribution="gridded")
+    ids = rng.sample(range(2**62), 80)
+    data = [data_point(ids[i], p.coords, p.weight) for i, p in enumerate(data)]
+    queries = [query_point(ids[40 + i], q.coords) for i, q in enumerate(queries)]
+    cfg = PipelineConfig(dims=2, monoid=SUM, variant=variant)
+    seq_results, _, seq_calls = recorded_run("seq", data, queries, cfg)
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        vec_results, _, vec_calls = recorded_run("numpy", data, queries, cfg)
+    assert lexsort.called
+    assert [(r.id, repr(r.value)) for r in vec_results] == [(r.id, repr(r.value)) for r in seq_results]
+    assert [op for op, _ in vec_calls] == [op for op, _ in seq_calls]
+    for i, ((op, s), (_, v)) in enumerate(zip(seq_calls, vec_calls)):
+        assert comparable(v) == comparable(s), (i, op)
+
+
+def test_runs_on_seq_where_numpy_does_not_import():
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from domscan import SUM, PipelineConfig, brute_force, run\n"
+        "from domscan.datafiles import generate_instance\n"
+        "data, queries = generate_instance(30, 30, 2, seed=7)\n"
+        "results, stats = run(data, queries, PipelineConfig(2, SUM))\n"
+        "assert stats.backend == 'seq', stats.backend\n"
+        "assert {r.id: r.value for r in results} == brute_force(data, queries, SUM)\n"
+        "print('ok')\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "ok"
+
+
 def test_numpy_code_tables_hold_one_row_per_rank_and_role():
     rng = random.Random(3)
     data = [data_point(i, (rng.randrange(3), rng.randrange(3), rng.randrange(3)), 1) for i in range(1000)]

@@ -272,6 +272,28 @@ def test_integers_past_the_digit_limit_are_read_and_printed_exactly(tmp_path, ca
     assert capsys.readouterr().out.startswith("mismatch at line 1: pipeline '5,1999")
 
 
+def test_verify_mismatch_prints_integers_past_the_digit_limit(tmp_path, capsys, monkeypatch):
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    d.write_text(f"id,x1,weight\n0,1,{'9' * 4300}\n1,2,{'9' * 4300}\n")
+    q.write_text("id,x1\n5,3\n")
+    monkeypatch.setattr(domscan.cli, "brute_force", lambda *args: {5: 1})
+    assert main(["verify", str(d), str(q), "--monoid", "sum"]) == EXIT_MISMATCH
+    first, summary = capsys.readouterr().out.splitlines()
+    assert first == f"mismatch at query 5: pipeline 1{'9' * 4299}8, reference 1 (sum, compared exactly)"
+    assert summary == "1 of 1 queries mismatch; worst relative error inf at query 5; first mismatching ids: 5"
+
+
+def test_id_past_the_digit_limit_is_too_long(tmp_path, capsys):
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    d.write_text(f"id,x1\n{'1' * 5000},1\n")
+    q.write_text(f"id,x1\n5,3\n\n-{'9' * 4301},2\n")
+    assert main(["run", str(d), str(q)]) == EXIT_INPUT
+    assert _last_stderr_line(capsys) == f"domscan: {d}: line 2: id too long: more than 4300 digits"
+    d.write_text(f"id,x1\n{'9' * 4300},1\n")
+    assert main(["run", str(d), str(q)]) == EXIT_INPUT
+    assert _last_stderr_line(capsys) == f"domscan: {q}: line 4: id too long: more than 4300 digits"
+
+
 def test_verify_reports_errors_past_float_range_as_infinite(tmp_path, capsys, monkeypatch):
     files = _huge_weight_instance(tmp_path)
     monkeypatch.setattr(domscan.cli, "brute_force", lambda *args: {5: -math.inf, 6: 1, 7: 10**400})
@@ -454,6 +476,45 @@ def test_duplicate_id_across_files(tmp_path, capsys):
     q.write_text("id,x1\n0,2\n")
     assert main(["run", str(d), str(q)]) == EXIT_INPUT
     assert "duplicate" in capsys.readouterr().err
+
+
+def test_files_that_disagree_on_the_coordinate_count(tmp_path, capsys):
+    q = tmp_path / "q.csv"
+    q.write_text("id,x1,x2,x3\n9,1,2,3\n")
+    assert main(["run", FIXTURE[0], str(q)]) == EXIT_INPUT
+    assert _last_stderr_line(capsys) == "domscan: data and query files disagree on the coordinate count"
+
+
+def test_empty_data_file_has_no_header(tmp_path, capsys):
+    d = tmp_path / "d.csv"
+    d.write_text("")
+    assert main(["run", str(d), FIXTURE[1]]) == EXIT_INPUT
+    assert _last_stderr_line(capsys) == f"domscan: {d}: missing header row"
+
+
+def test_header_without_coordinates(tmp_path, capsys):
+    d = tmp_path / "d.csv"
+    d.write_text("id\n0\n")
+    assert main(["run", str(d), FIXTURE[1]]) == EXIT_INPUT
+    assert _last_stderr_line(capsys) == f"domscan: {d}: line 1: no coordinate columns"
+
+
+def test_gen_rejects_negative_sizes(tmp_path, capsys):
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    assert main(["gen", "--n", "-1", "--q", "2", "--data", str(d), "--queries", str(q)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "domscan: sizes must be nonnegative and --dim positive\n"
+    assert not d.exists() and not q.exists()
+
+
+def test_verify_expected_file_of_another_length(tmp_path, capsys):
+    d, q, expected = tmp_path / "d.csv", tmp_path / "q.csv", tmp_path / "expected.csv"
+    d.write_text("id,x1,weight\n0,1,2\n")
+    q.write_text("id,x1\n5,0\n6,3\n")
+    expected.write_text("5,0\n")
+    assert main(["verify", str(d), str(q), "--expected", str(expected)]) == EXIT_MISMATCH
+    assert capsys.readouterr().out == "result count mismatch: pipeline 2, expected file 1\n"
 
 
 def test_unknown_flag_is_usage_error(capsys):

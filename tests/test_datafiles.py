@@ -67,6 +67,8 @@ def reference_read_points(path, *, queries, dims=None):
                 f"{path}: line {lineno}: expected {expected_cols} columns, found {len(cells)}"
             )
         try:
+            if len(cells[0].lstrip("+-").replace("_", "")) > 4300:
+                raise ValueError("id too long: more than 4300 digits")
             pid = int(cells[0])
             coords = tuple(float(c) for c in cells[1 : 1 + m])
             weight = reference_number(cells[1 + m]) if has_weight else 1
@@ -80,12 +82,12 @@ def reference_read_points(path, *, queries, dims=None):
     return points
 
 
-# Cells that parse, then cells that do not (or parse to NaN).
-IDS = ["0", "7", "+7", "-3", "1_000", "12"], ["abc", "", "1.5"]
-COORDS = ["0.5", "1e3", "+inf", "-inf", "1_000", "+7", "-0.0", "2"], ["nan", "x", ""]
 # Integers of 4,300 digits and more: Python's limit on the digits of an
-# int read from text, which the weights are read past.
+# int read from text, which the weights are read past and ids are not.
 LONG = ["9" * 4300, "1" + "0" * 5000, "-" + "9" * 4400, "1_" + "0" * 4400]
+# Cells that parse, then cells that do not (or parse to NaN).
+IDS = ["0", "7", "+7", "-3", "1_000", "12", LONG[0]], ["abc", "", "1.5", *LONG[1:]]
+COORDS = ["0.5", "1e3", "+inf", "-inf", "1_000", "+7", "-0.0", "2"], ["nan", "x", ""]
 WEIGHTS = ["5", "5.0", "-2", "1e3", "+inf", "1_000", "+7", *LONG], ["nan", "w", ""]
 SPACE = st.sampled_from(["", "", " ", "  ", "\t"])
 ENDS = ["\n", "\r\n", "\r"]

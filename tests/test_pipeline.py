@@ -331,13 +331,13 @@ def test_stats_shape_and_call_counts():
     assert len(stats.widths) == 2
     assert stats.expanded_count > 0
     assert stats.elements_processed > stats.expanded_count
-    assert stats.primitive_calls == 8 * 2 + 14
+    assert stats.primitive_calls == 8 * 2 + 12
     _, stats_improved = run(data, queries, cfg(2, variant="improved"))
-    assert stats_improved.primitive_calls == 8 * 1 + 14
+    assert stats_improved.primitive_calls == 8 * 1 + 12
     assert len(stats_improved.widths) == 1
     for m in (1, 2, 3, 4):
-        assert 8 * m + 14 <= 6 * m + 9 + PLUMBING_CALLS
-    assert 8 * 4 + 14 > 6 * 4 + 9 + (PLUMBING_CALLS - 1)  # the least allowance that fits
+        assert 8 * m + 12 <= 6 * m + 9 + PLUMBING_CALLS
+    assert 8 * 4 + 12 > 6 * 4 + 9 + (PLUMBING_CALLS - 1)  # the least allowance that fits
 
 
 def test_results_are_ascending_by_query_id():
