@@ -166,6 +166,7 @@ def cmd_run(args) -> int:
                 "data_count": stats.data_count,
                 "query_count": stats.query_count,
                 "expanded_count": stats.expanded_count,
+                "regrouped_count": stats.regrouped_count,
                 "widths": list(stats.widths),
                 "expansion_vs_bound": stats.expansion_vs_bound,
                 "elements_processed": stats.elements_processed,
@@ -260,8 +261,8 @@ def cmd_bench(args) -> int:
         raise InputError("--n0, --rounds and --dim must be positive")
     dims = 2 if args.dim is None else args.dim
     print(
-        f"{'n_data':>8} {'n_query':>8} {'expanded':>10} {'elements':>12} {'calls':>6}"
-        f" {'seconds':>9} {'backend':>8}"
+        f"{'n_data':>8} {'n_query':>8} {'expanded':>10} {'regrouped':>10} {'elements':>12}"
+        f" {'calls':>6} {'seconds':>9} {'backend':>8}"
     )
     for round_no in range(args.rounds):
         total = args.n0 << round_no
@@ -273,8 +274,8 @@ def cmd_bench(args) -> int:
         elapsed = time.perf_counter() - t0
         print(
             f"{stats.data_count:>8} {stats.query_count:>8} {stats.expanded_count:>10}"
-            f" {stats.elements_processed:>12} {stats.primitive_calls:>6} {elapsed:>9.3f}"
-            f" {stats.backend:>8}"
+            f" {stats.regrouped_count:>10} {stats.elements_processed:>12}"
+            f" {stats.primitive_calls:>6} {elapsed:>9.3f} {stats.backend:>8}"
         )
     return EXIT_OK
 

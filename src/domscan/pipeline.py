@@ -15,10 +15,12 @@ coordinate. A run is a fixed-length chain of primitive calls:
    aggregate with a segmented scan keyed by the key, so every query
    copy picks up the weights of the dominated data points that
    collided with it.
-5. Regroup by point index (sort, segmented scan). The scan is
-   inclusive, so the last row of each query's group holds that query's
-   complete fold. A selection over the points reads it there, and a
-   last sort puts the answers in id order.
+5. Keep only the query rows whose partial is not the monoid unit (a
+   filter flatmap: every other row changes no answer) and regroup them
+   by point index (sort, segmented scan). The scan is inclusive, so the
+   last row of each query's group holds that query's complete fold. A
+   selection over the points reads it there, and a last sort puts the
+   answers in id order.
 
 The basic variant ranks all ``dims`` dimensions. The improved variant
 leaves the final coordinate as a raw real number and orders records by
@@ -35,7 +37,7 @@ segment in tie order: data before queries in the basic variant, by the
 raw final coordinate (queries first on ties) in the improved one, then
 by id. After the regroup the point column is sorted, so point i's
 group ends where that column moves past i, found by binary search; a
-query with no copies gets the monoid unit.
+query with no kept row gets the monoid unit.
 
 The answers come back as :class:`QueryResults`, two columns (ids and
 values) that read as a list of :class:`QueryResult`.
@@ -207,7 +209,9 @@ class ExpansionStats:
     ``widths`` holds the bit width of every rank-encoded dimension (all
     of them in the basic variant, all but the last in the improved
     variant), so ``(data_count + query_count) * product(widths)`` bounds
-    ``expanded_count``. ``elements_processed`` sums, over every
+    ``expanded_count``. ``regrouped_count`` is the number of expanded
+    rows kept for the regroup: query rows whose partial from the key
+    scan is not the unit. ``elements_processed`` sums, over every
     primitive call, the lengths of its sequence arguments plus its
     output; ``primitive_calls`` counts the calls themselves.
     ``backend`` names the backend that ran: ``"seq"`` or ``"numpy"``.
@@ -216,6 +220,7 @@ class ExpansionStats:
     data_count: int
     query_count: int
     expanded_count: int
+    regrouped_count: int
     widths: tuple[int, ...]
     elements_processed: int = 0
     primitive_calls: int = 0
@@ -293,15 +298,15 @@ def run(data, queries, cfg: PipelineConfig):
         phases[name] = phases.get(name, 0.0) + (now - last_mark)
         last_mark = now
 
-    def stats(expanded, widths):
+    def stats(expanded, regrouped, widths):
         return ExpansionStats(
-            len(data), len(queries), expanded, tuple(widths),
+            len(data), len(queries), expanded, regrouped, tuple(widths),
             b.elements, b.calls, phases, b.inner.name,
         )
 
     dq = b.concat(data, queries)
     if not dq:
-        return QueryResults([], []), stats(0, ())
+        return QueryResults([], []), stats(0, 0, ())
     dq = b.sort(dq, key=_tie_order(improved))
 
     ranks = []
@@ -327,12 +332,16 @@ def run(data, queries, cfg: PipelineConfig):
     a1 = b.segmented_scan(b.map(wts.__getitem__, points), keys, monoid)
     del keys
 
-    # Regroup the partial aggregations by point index. The sort is
-    # stable, so each point's rows stay together in key order, and the
-    # inclusive scan leaves a query's complete aggregation on the last
-    # row of its group.
-    points, grouped = b.sort(b.zip(points, a1)).columns
-    del a1
+    # Regroup by point index only the rows that can change an answer:
+    # query rows whose partial is not the unit. The filter keeps the
+    # rows in key order and the sort is stable, so each point's rows
+    # stay together in key order, and the inclusive scan leaves a
+    # query's complete aggregation on the last row of its group.
+    kept = b.flatmap(_Kept(dq, monoid.unit), points, a1)
+    del points, a1
+    regrouped = len(kept)
+    points, grouped = b.sort(kept).columns
+    del kept
     totals = b.segmented_scan(grouped, points, monoid)
     del grouped
     mark("aggregate")
@@ -341,7 +350,7 @@ def run(data, queries, cfg: PipelineConfig):
     del points, totals
     ids, values = b.sort(rows).columns
     mark("project")
-    return QueryResults(ids, values), stats(expanded, widths)
+    return QueryResults(ids, values), stats(expanded, regrouped, widths)
 
 
 def _tie_order(improved: bool):
@@ -353,6 +362,11 @@ def _tie_order(improved: bool):
         return lambda p: (p.coords[-1], 1 - p.is_query, p.id)
     # a dummy coordinate in which every data point is below every query
     return lambda p: (p.is_query, p.id)
+
+
+# What a flatmap kernel returns for an element it drops, shared by all
+# of them; also the regroup filter's output over no elements.
+_NO_ROWS = Records(([], []))
 
 
 class _Expansion:
@@ -405,13 +419,50 @@ class _Expansion:
         return expand(self, points)
 
 
+class _Kept:
+    """Flatmap kernel, a filter: the row ``(point, partial)`` of an
+    expanded row whose point is a query and whose partial from the key
+    scan is not the monoid unit; nothing otherwise.
+
+    Only query rows are read after the regroup, and a partial equal to
+    the unit in type and value changes no fold it would join. For min
+    and max, ``min(x, inf)`` and ``max(x, -inf)`` are ``x``. For count,
+    sum and fsum, a query row's partial is ``acc + unit`` or the unit
+    itself, so it is never ``-0.0`` (``-0.0 + 0.0`` is ``0.0``), and
+    neither is any running total of the regroup scan, a sum of such
+    partials. Adding the unit to such a total gives it back bit for bit
+    and of the same type (under fsum every such partial is a float, the
+    unit being ``0.0``). Comparing values alone would also drop a
+    ``0.0`` partial under sum, whose unit is the int ``0``, and turn a
+    ``0.0`` answer into ``0``. :meth:`columns` is the same filter over
+    whole columns.
+    """
+
+    empty = _NO_ROWS
+
+    def __init__(self, dq, unit):
+        self.dq = dq
+        self.unit = unit
+
+    def __call__(self, point, partial):
+        unit = self.unit
+        if not self.dq[point].is_query or (type(partial) is type(unit) and partial == unit):
+            return _NO_ROWS
+        return Records(([point], [partial]))
+
+    def columns(self, points, partials):
+        from .vector import kept_rows
+
+        return kept_rows(self.dq, points, partials, self.unit)
+
+
 class _Total:
     """Flatmap kernel: the ``(id, total)`` row of the query with index
     ``i``; nothing for a data point. The regrouped point column
     ``points`` is sorted, so the query's group ends where that column
     moves past ``i``. Its total is the last row of the group in
     ``totals``, or its own weight, the monoid unit, when it has no
-    copies."""
+    row there."""
 
     def __init__(self, points, totals):
         self.points = points
@@ -419,7 +470,7 @@ class _Total:
 
     def __call__(self, point, i):
         if not point.is_query:
-            return Records(([], []))
+            return _NO_ROWS
         end = bisect_right(self.points, i)
         found = end > 0 and self.points[end - 1] == i
         return Records(([point.id], [self.totals[end - 1] if found else point.weight]))

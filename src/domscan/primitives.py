@@ -31,6 +31,7 @@ contract over whole columns.
 from __future__ import annotations
 
 from itertools import accumulate, chain
+from operator import itemgetter
 
 from .monoids import Monoid
 
@@ -103,13 +104,18 @@ class SequentialBackend:
     def flatmap(self, f, *xs):
         """Concatenation of the lists produced by ``f`` per element (or
         per aligned element tuple), in input order; when ``f`` returns
-        :class:`Records`, their columns are concatenated."""
+        :class:`Records`, their columns are concatenated, column by
+        column. Over no elements the result is ``f.empty`` where ``f``
+        has one (a kernel that returns :class:`Records` names its output
+        over no elements there), else ``[]``."""
         if len(xs) > 1:
             _check_lengths(xs)
-        parts = list(map(f, *xs))
-        if parts and isinstance(parts[0], Records):
-            columns = zip(*(part.columns for part in parts))
-            return Records([list(chain.from_iterable(c)) for c in columns])
+        parts = list(map(f, *xs)) or [getattr(f, "empty", [])]
+        if isinstance(parts[0], Records):
+            columns = [part.columns for part in parts]
+            return Records(
+                [list(chain.from_iterable(map(itemgetter(j), columns))) for j in range(len(columns[0]))]
+            )
         return list(chain.from_iterable(parts))
 
     def zip(self, *xs):

@@ -41,6 +41,7 @@ of their input.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -470,6 +471,20 @@ def expand(expansion, points: Column):
         del index
         owner = np.repeat(owner, n)
     return Records((Column(key), Column(owner)))
+
+
+def kept_rows(dq: PointColumns, points: Column, partials: Column, unit):
+    """Whole-column form of the pipeline's regroup filter: the rows
+    ``(point, partial)`` whose point is a query and whose partial is not
+    the unit, in input order. Min and max partials are codes, so they
+    are compared with the unit's code; ``decode`` lists the distinct
+    weights in ascending order, so bisection finds it. The rows are
+    taken by index (``np.flatnonzero`` of one mask), which costs less per
+    column than indexing with the mask."""
+    if partials.decode is not None:
+        unit = bisect_left(partials.decode, unit)
+    keep = np.flatnonzero(dq.is_query.take(points.a) & (partials.a != unit))
+    return Records((points[keep], partials[keep]))
 
 
 def select_totals(points: Column, totals: Column, dq: PointColumns, indices: Column):

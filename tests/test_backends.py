@@ -413,3 +413,23 @@ def test_expanded_columns_are_int32_where_keys_fit_31_bits(dims, narrow_key):
         key, point = records.columns
         assert key.a.dtype == (np.int32 if narrow_key else np.int64)
         assert point.a.dtype == np.int32  # a point index always fits 31 bits
+
+
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+@pytest.mark.parametrize("backend", ["seq", "numpy"])
+def test_regrouped_count_is_the_regroup_sorts_input(backend, variant):
+    rng = random.Random(backend + variant)
+    data, queries = generate_instance(60, 60, 3, seed=11, distribution="gridded")
+    data = [data_point(p.id, p.coords, rng.randint(1, 9)) for p in data]
+    for monoid in (COUNT, SUM, MIN, MAX):
+        cfg = PipelineConfig(dims=3, monoid=monoid, variant=variant)
+        _, stats, calls = recorded_run(backend, data, queries, cfg)
+        ops = [op for op, _ in calls]
+        # weight gather, key scan, filter, regroup sort, regroup scan, selection, final sort
+        assert ops[-7:] == ["map", "segmented_scan", "flatmap", "sort", "segmented_scan", "flatmap", "sort"]
+        gathered, partials, kept, regrouped = (list(out) for _, out in calls[-7:-3])
+        assert len(kept) == len(regrouped) == stats.regrouped_count
+        # no data weight is the unit here, so the rows weighing the unit are the query rows
+        want = [p for w, p in zip(gathered, partials) if w == monoid.unit and p != monoid.unit]
+        assert 0 < len(want) == stats.regrouped_count < stats.expanded_count
+        assert [p for _, p in kept] == want

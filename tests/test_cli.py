@@ -51,6 +51,7 @@ def test_run_stats_report(tmp_path):
     assert report["results_written"] == 3
     assert report["stats"]["data_count"] == 3
     assert report["stats"]["expanded_count"] >= 3
+    assert 0 < report["stats"]["regrouped_count"] < report["stats"]["expanded_count"]
     assert report["stats"]["widths"] == [2, 2]
     bound = (report["stats"]["data_count"] + report["stats"]["query_count"]) * 2 * 2
     assert report["stats"]["expansion_vs_bound"] == report["stats"]["expanded_count"] / bound
@@ -64,6 +65,7 @@ def test_run_stats_report(tmp_path):
     q.write_text("id,x1,x2\n")
     assert main(["run", str(d), str(q), "--output", str(out), "--stats", str(stats)]) == EXIT_OK
     assert json.loads(stats.read_text())["stats"]["expansion_vs_bound"] == 0.0
+    assert json.loads(stats.read_text())["stats"]["regrouped_count"] == 0
 
 
 def test_run_stats_report_names_the_fallback_backend(tmp_path, capsys):
@@ -573,4 +575,6 @@ def test_bench_prints_table(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
     assert "seconds" in lines[0] and lines[0].split()[-1] == "backend"
+    assert lines[0].split()[2:4] == ["expanded", "regrouped"]
+    assert all(0 < int(line.split()[3]) < int(line.split()[2]) for line in lines[1:])
     assert lines[1].split()[-1] == ("numpy" if HAVE_NUMPY else "seq")

@@ -407,3 +407,44 @@ def test_result_object_contract():
             assert empty == [] and len(empty) == 0 and list(empty) == []
             assert repr(empty) == "QueryResults([])"
     assert reprs == {f"QueryResults({want!r})"}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_dropping_unit_partials_keeps_every_answer_exact(variant, backend):
+    # The regroup sees only query rows whose partial is not the unit, in
+    # type and value. Signed zeros under sum (whose unit is the int 0),
+    # dyadic float sums, whose every order of addition is exact, and
+    # infinite min/max weights equal to a unit all come out repr-equal.
+    rng = random.Random(f"unit partials {variant}")
+    cases = [
+        (SUM, (-0.0, 0.0)),
+        (FLOAT_SUM, (-0.0, 0.0, 0.5, -0.5, 0.25, -0.25)),
+        (MIN, (-math.inf, math.inf, 0.5, -1.5)),
+        (MAX, (-math.inf, math.inf, 0.5, -1.5)),
+    ]
+    for trial in range(12):
+        m = 1 + trial % 3
+        for monoid, weights in cases:
+            point = lambda: tuple(rng.randrange(4) / 4 for _ in range(m))  # noqa: E731
+            data = [data_point(i, point(), rng.choice(weights)) for i in range(20)]
+            queries = [query_point(100 + i, point()) for i in range(20)]
+            expected = brute_force(data, queries, monoid)
+            res, _ = run_on(backend, data, queries, cfg(m, monoid, variant=variant))
+            assert [(r.id, repr(r.value)) for r in res] == [(i, repr(expected[i])) for i in sorted(expected)], monoid.name
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_no_data_and_queries_at_the_lowest_coordinate(variant, backend):
+    # Every query has rank 1 in the first dimension, so nothing expands and
+    # the regroup filter runs over no rows (at d=1 the improved variant
+    # ranks nothing and expands each query once, its partial the unit).
+    for m in (1, 2, 3):
+        queries = [query_point(i, (-math.inf,) * m) for i in range(3)]
+        ranked = m - 1 if variant == "improved" else m
+        for name, monoid in MONOIDS.items():
+            res, stats = run_on(backend, [], queries, cfg(m, monoid, variant=variant))
+            assert [(r.id, repr(r.value)) for r in res] == [(i, repr(monoid.unit)) for i in range(3)], name
+            assert stats.primitive_calls == 8 * ranked + 12
+            assert stats.regrouped_count == 0

@@ -86,6 +86,14 @@ def test_flatmap_concatenates_records_columnwise():
     assert isinstance(out, Records)
     assert out.columns == ([2, 2, 1], [0, 1, 0])
 
+    # over no elements, a kernel's ``empty`` is the result
+    def kernel(n):
+        return Records(([n], [n]))
+
+    kernel.empty = Records(([], []))
+    out = b.flatmap(kernel, [])
+    assert isinstance(out, Records) and out.columns == ([], [])
+
 
 def test_concat():
     assert b.concat([1], [2, 3]) == [1, 2, 3]
