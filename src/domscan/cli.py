@@ -117,7 +117,7 @@ def _setup(args, data: PointTable, queries, dims: int):
     runs under the float monoid."""
     monoid = MONOIDS[args.monoid]
     if args.monoid == "count":
-        data = PointTable(data.ids, data.coords, [1] * len(data), False)
+        data = data.reweighted([1] * len(data))
     elif args.monoid == "sum" and any(isinstance(w, float) for w in data.weights):
         # Float addition depends on the order of the terms, so float weights
         # are summed under the float monoid, which compares within a tolerance.

@@ -12,11 +12,12 @@ import decimal
 import math
 import random
 import sys
+import warnings
 from contextlib import contextmanager, suppress
 from itertools import repeat
 from typing import Any
 
-from .pipeline import InputError, Point, PointTable, data_point, query_point
+from .pipeline import InputError, Point, PointTable, TableArrays, data_point, query_point
 from .primitives import Records
 
 
@@ -39,9 +40,12 @@ def read_points(path: str, *, queries: bool, dims: int | None = None) -> PointTa
     report the offending physical line number, the header's included.
     Lines may end in LF, CRLF or CR; blank lines are skipped but counted.
 
-    The rows are parsed column by column (:func:`_parse_rows`). When
-    that fails, the same parse runs on one row at a time, cells
-    stripped, to name the first bad line and its fault.
+    The rows are parsed in C, once, by numpy (:func:`_parse_arrays`).
+    Where numpy does not import or cannot read every cell exactly as
+    Python would, they are parsed column by column in Python
+    (:func:`_parse_rows`). When that fails, the same parse runs on one
+    row at a time, cells stripped, to name the first bad line and its
+    fault.
     """
     lines = read_lines(path)
     rows = list(filter(str.strip, lines))
@@ -57,6 +61,9 @@ def read_points(path: str, *, queries: bool, dims: int | None = None) -> PointTa
         raise InputError(f"{at}: no coordinate columns")
     if dims is not None and m != dims:
         raise InputError(f"{at}: header has {m} coordinates, expected {dims}")
+    parsed = _parse_arrays(rows[1:], m, has_weight, queries)
+    if parsed is not None:
+        return parsed
     try:
         return _parse_rows(rows[1:], len(header), m, has_weight, queries)
     except ValueError:
@@ -85,6 +92,54 @@ def read_lines(path: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
+def _parse_arrays(rows: list[str], m: int, has_weight: bool, queries: bool) -> PointTable | None:
+    """The rows as a table of ``m`` coordinate columns that carries the
+    arrays they were listed from (:class:`~domscan.pipeline.TableArrays`),
+    parsed by one ``numpy.loadtxt`` call: int64 ids, float64 coordinates
+    and int64 weights. None, so that :func:`_parse_rows` reads the rows,
+    when there are none, numpy does not import or is older than 1.23,
+    ``loadtxt`` raises or warns, or a coordinate is NaN.
+
+    Where numpy and Python read a cell differently, numpy rejects it:
+    ``1_0``, non-ASCII digits, an id or weight past int64 and a weight
+    written as a float (which Python reads as a ``float``). Releases
+    from 1.23 that still read such a weight through float warn, and a
+    warning fails the parse. The Python ``loadtxt`` before 1.23 read
+    cells otherwise than Python (``0x10`` as a float), so it is not
+    used. Every cell the parse accepts has the value and type Python
+    gives it.
+    """
+    if not rows:
+        return None
+    try:
+        import numpy as np
+    except ImportError:
+        return None
+    if np.lib.NumpyVersion(np.__version__) < "1.23.0":
+        return None
+    fields = [("id", np.int64), *((f"x{d}", np.float64) for d in range(m))]
+    if has_weight:
+        fields.append(("weight", np.int64))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(rows, dtype=fields, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    coords = np.stack([table[f"x{d}"] for d in range(m)])
+    if np.isnan(coords).any():
+        return None
+    ids = table["id"].copy()
+    if has_weight:
+        weights = table["weight"].copy()
+        listed = weights.tolist()
+    elif queries:
+        weights, listed = None, [None] * len(ids)
+    else:
+        weights, listed = np.ones(len(ids), dtype=np.int64), [1] * len(ids)
+    return PointTable(ids.tolist(), coords.tolist(), listed, queries, arrays=TableArrays(ids, coords, weights))
+
+
 def _parse_rows(rows: list[str], ncols: int, m: int, has_weight: bool, queries: bool) -> PointTable:
     """The rows as a table of ``m`` coordinate columns. A row with the
     wrong number of cells, a cell that does not parse, or a NaN
@@ -94,13 +149,18 @@ def _parse_rows(rows: list[str], ncols: int, m: int, has_weight: bool, queries: 
     too long.
 
     ``int`` and ``float`` ignore surrounding whitespace as ``str.strip``
-    does, so a row gives the same values with its cells stripped or not.
+    does, except the information separators U+001C to U+001F, so cells
+    are stripped first in rows that hold one: a row gives the same
+    values with its cells stripped or not.
     """
     n = len(rows)
     wrong = set(map(str.count, rows, repeat(",", n))) - {ncols - 1}
     if wrong:
         raise ValueError(f"expected {ncols} columns, found {min(wrong) + 1}")
-    cells = ",".join(rows).split(",") if rows else []
+    text = ",".join(rows)
+    cells = text.split(",") if rows else []
+    if any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        cells = list(map(str.strip, cells))
     try:
         ids = list(map(int, cells[0::ncols]))
     except ValueError:

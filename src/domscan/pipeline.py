@@ -95,6 +95,17 @@ class Point:
     is_query: bool = False
 
 
+class TableArrays(NamedTuple):
+    """The numpy arrays a file's numpy parse
+    (:func:`~domscan.datafiles.read_points`) listed a table's columns
+    from. They prove every id an ``int`` in int64 range, no coordinate
+    NaN and every weight an ``int`` in int64 range."""
+
+    ids: Any  # int64
+    coords: Any  # float64, one row per dimension
+    weights: Any  # int64 data weights; None for queries and after reweighting
+
+
 class PointTable:
     """Points of one role as columns: ``ids``, ``coords`` (one list per
     dimension) and ``weights``, aligned by row.
@@ -102,16 +113,20 @@ class PointTable:
     ``len()`` is the row count. Iteration yields :class:`Point` objects:
     the ones the table was made from (:func:`point_table`), or points
     built from the columns on first use.
+
+    ``arrays`` is the :class:`TableArrays` the columns were listed from,
+    or None for a table of any other origin.
     """
 
-    __slots__ = ("ids", "coords", "weights", "is_query", "_points")
+    __slots__ = ("ids", "coords", "weights", "is_query", "_points", "arrays")
 
-    def __init__(self, ids, coords, weights, is_query: bool, points=None):
+    def __init__(self, ids, coords, weights, is_query: bool, points=None, arrays=None):
         self.ids = ids
         self.coords = coords
         self.weights = weights
         self.is_query = is_query
         self._points = points
+        self.arrays = arrays
 
     @property
     def dims(self) -> int:
@@ -125,6 +140,12 @@ class PointTable:
             rows = zip(self.ids, zip(*self.coords), self.weights)
             self._points = [Point(i, c, w, self.is_query) for i, c, w in rows]
         return iter(self._points)
+
+    def reweighted(self, weights) -> PointTable:
+        """The table with ``weights`` in place of its own; it keeps the
+        parsed ids and coordinates, not the parsed weights."""
+        arrays = self.arrays and self.arrays._replace(weights=None)
+        return PointTable(self.ids, self.coords, weights, self.is_query, arrays=arrays)
 
 
 def point_table(points, is_query: bool, dims: int) -> PointTable:
@@ -244,12 +265,13 @@ class PipelineConfig:
 def _validate(data: PointTable, queries: PointTable) -> None:
     """Reject NaN coordinates, NaN weights and repeated ids. Each check
     scans whole columns; only a failing one walks the points, to name
-    the first offending point."""
+    the first offending point. A table that carries ``arrays`` has no
+    NaN to scan for."""
     for table in (data, queries):
-        if any(any(map(math.isnan, column)) for column in table.coords):
+        if table.arrays is None and any(any(map(math.isnan, column)) for column in table.coords):
             bad = next(p for p in table if any(map(math.isnan, p.coords)))
             raise InputError(f"point {bad.id} has a NaN coordinate")
-    if any(w != w for w in data.weights):
+    if data.arrays is None and any(w != w for w in data.weights):
         bad = next(p for p in data if p.weight != p.weight)
         raise InputError(f"point {bad.id} has a NaN weight")
     ids = [*data.ids, *queries.ids]
@@ -286,7 +308,7 @@ def run(data, queries, cfg: PipelineConfig):
     _validate(data, queries)
     monoid = cfg.monoid
     # A query weighs the unit: it adds nothing to any fold it reaches.
-    queries = PointTable(queries.ids, queries.coords, [monoid.unit] * len(queries), True)
+    queries = queries.reweighted([monoid.unit] * len(queries))
     ranked = cfg.dims - 1 if improved else cfg.dims
     b = CountingBackend(make_backend(data, queries, monoid, ranked))
     phases: dict = {}

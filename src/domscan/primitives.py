@@ -212,7 +212,8 @@ def make_backend(data, queries, monoid, ranked):
     converts to numpy columns without changing any result; the rules
     are listed in :mod:`domscan.vector`. Every
     other run gets the sequential backend. numpy is imported here, on
-    the first run that qualifies, never by ``import domscan``.
+    the first run that qualifies, or earlier by the first file
+    ``read_points`` reads, never by ``import domscan``.
 
     The pipeline gets its backend only here, so wrapping this function
     (as the benchmark's tracer does) sees every primitive call.

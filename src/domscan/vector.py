@@ -16,17 +16,25 @@ the type of each value:
 - packed keys fit in int64, ``sum(w + 1) <= 63`` over the rank widths,
   and no scan can overflow int64 (:func:`fits_int64`).
 
+Tables that ``read_points`` parsed with numpy carry the arrays their
+lists were made from (``PointTable.arrays``): int64 ids, float64
+coordinates and int64 weights, which prove the first condition and
+the weights' type. Their ids and coordinates are used as they are,
+without a list round trip, and a min or max reads only the weights'
+minimum and maximum, as Python ints, to find weights past 53 bits.
+Tables of other origin, and sums, are checked value by value.
+
 Sequences are :class:`Column` objects: 1-D arrays that read like Python
 sequences (``len``, truth, iteration and a scalar index give Python
-values; an index array gives a :class:`Column`). Sorting packs the key
-columns with the row index into one int64 and sorts those values, a
-float key column packed as its dense codes; only keys that need more
-than 63 bits fall back to a lexsort. Scans use ``ufunc.accumulate``.
-Functions given to ``map`` are called once on whole arrays, so they
-must work elementwise (operators, indexing) or carry their
-whole-column form as a ``columns`` attribute. A flatmap kernel always
-carries one: given the input columns, it returns the columns of all
-of its outputs at once.
+values; an index array gives a :class:`Column`, gathered with
+``take``). Sorting packs the key columns with the row index into one
+int64 and sorts those values, a float key column packed as its dense
+codes; only keys that need more than 63 bits fall back to a lexsort.
+Scans use ``ufunc.accumulate``. Functions given to ``map`` are called
+once on whole arrays, so they must work elementwise (operators,
+indexing) or carry their whole-column form as a ``columns``
+attribute. A flatmap kernel always carries one: given the input
+columns, it returns the columns of all of its outputs at once.
 
 Full-length integer columns are int32 where their values are known to
 fit it, and int64 otherwise: the expansion's point indices, and its
@@ -79,11 +87,11 @@ class Column:
 
     def __getitem__(self, i):
         """The element at a scalar index as a Python value; the elements
-        at an index array as a :class:`Column` with the same decoding."""
-        value = self.a[i]
-        if isinstance(value, np.ndarray):
-            return Column(value, self.decode)
-        value = value.item()
+        at an integer index array as a :class:`Column` with the same
+        decoding, gathered with ``take``."""
+        if isinstance(i, np.ndarray):
+            return Column(self.a.take(i), self.decode)
+        value = self.a[i].item()
         return value if self.decode is None else self.decode[value]
 
     def __eq__(self, other):
@@ -144,13 +152,15 @@ def fits_int64(widths, n_points: int, magnitude: int) -> bool:
     )
 
 
-def _weights(weights, n_queries: int, monoid):
+def _weights(weights, n_queries: int, monoid, array=None):
     """``(column, magnitude)`` for the data weights followed by the unit
     in every query slot, or None when numpy cannot reproduce the
-    sequential results exactly."""
-    types = set(map(type, weights))
+    sequential results exactly. ``array`` is the weights' int64 array
+    when a parse has proved them ``int`` (``TableArrays.weights``): a
+    min or max then reads its minimum and maximum as Python ints, and
+    checks weights past 53 bits one by one, as a list is."""
     if monoid.ufunc == "add":
-        if not types <= {int} or monoid.unit != 0:
+        if not set(map(type, weights)) <= {int} or monoid.unit != 0:
             return None
         magnitude = sum(map(abs, weights))
         if magnitude >= _INT64_LIMIT:
@@ -158,28 +168,33 @@ def _weights(weights, n_queries: int, monoid):
         values = np.zeros(len(weights) + n_queries, dtype=_int_type(-magnitude, magnitude))
         values[: len(weights)] = weights
         return Column(values), magnitude
-    if not (types <= {int} or types == {float}):
-        return None
     objects = [*weights, monoid.unit]
-    try:
-        values = np.array(objects, dtype=np.float64)
-    except OverflowError:
-        return None
-    if values.tolist() != objects:  # an int that float64 rounds
-        return None
-    if np.any(np.signbit(values) & (values == 0)):
-        return None
+    if array is not None and max(-int(array.min()), int(array.max())) <= 1 << 53:
+        # every int64 of at most 53 bits is exact in float64
+        values = np.append(array, monoid.unit)  # float64, as the unit is a float
+    else:
+        types = set(map(type, weights))
+        if not (types <= {int} or types == {float}):
+            return None
+        try:
+            values = np.array(objects, dtype=np.float64)
+        except OverflowError:
+            return None
+        if values.tolist() != objects:  # an int that float64 rounds
+            return None
+        if np.any(np.signbit(values) & (values == 0)):
+            return None
     distinct, first, codes = np.unique(values, return_index=True, return_inverse=True)
     decode = [objects[i] for i in first.tolist()]
     column = np.concatenate((codes[:-1], np.full(n_queries, codes[-1])), dtype=_int_type(0, len(distinct)))
     return Column(column, decode), len(distinct)
 
 
-def point_columns(data, queries, monoid, ranked: int) -> PointColumns | None:
-    """The input (two :class:`~domscan.pipeline.PointTable`) as columns,
-    or None when numpy cannot reproduce the sequential backend's results
-    for it (see the module docstring)."""
-    n = len(data) + len(queries)
+def _listed_columns(data, queries):
+    """``(ids, coords)`` of two tables' lists as an int64 array and a
+    float64 array, one row per dimension; None unless every id is an
+    ``int`` that fits int64 and every coordinate round-trips through
+    float64 exactly."""
     columns = [a + b for a, b in zip(data.coords, queries.coords)]
     id_list = data.ids + queries.ids
     if not set(map(type, id_list)) <= {int}:
@@ -191,7 +206,25 @@ def point_columns(data, queries, monoid, ranked: int) -> PointColumns | None:
         return None
     if coords.tolist() != columns:
         return None
-    weighted = _weights(data.weights, len(queries), monoid)
+    return ids, coords
+
+
+def point_columns(data, queries, monoid, ranked: int) -> PointColumns | None:
+    """The input (two :class:`~domscan.pipeline.PointTable`) as columns,
+    or None when numpy cannot reproduce the sequential backend's results
+    for it (see the module docstring). Tables that carry ``arrays`` give
+    their ids and coordinates as they are: the parse proved them."""
+    n = len(data) + len(queries)
+    if data.arrays is not None and queries.arrays is not None:
+        ids = np.concatenate((data.arrays.ids, queries.arrays.ids))
+        coords = np.concatenate((data.arrays.coords, queries.arrays.coords), axis=1)
+        weighted = _weights(data.weights, len(queries), monoid, data.arrays.weights)
+    else:
+        listed = _listed_columns(data, queries)
+        if listed is None:
+            return None
+        ids, coords = listed
+        weighted = _weights(data.weights, len(queries), monoid)
     if weighted is None:
         return None
     weight, magnitude = weighted

@@ -14,10 +14,10 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from backends import backend_seam, run_on  # noqa: E402
-from domscan import vector  # noqa: E402
+from domscan import brute_force, cli, vector  # noqa: E402
 from domscan.datafiles import generate_instance, read_points, write_instance  # noqa: E402
 from domscan.monoids import COUNT, FLOAT_SUM, MAX, MIN, MONOIDS, SUM  # noqa: E402
-from domscan.pipeline import PipelineConfig, data_point, point_table, query_point  # noqa: E402
+from domscan.pipeline import PipelineConfig, data_point, point_table, query_point, run  # noqa: E402
 from domscan.primitives import CountingBackend, Records, SequentialBackend, make_backend  # noqa: E402
 from domscan.vector import Column, NumpyBackend, PointColumns, fits_int64  # noqa: E402
 
@@ -159,19 +159,42 @@ def test_ids_past_62_bits_sort_by_lexsort_as_sequential(variant):
         assert comparable(v) == comparable(s), (i, op)
 
 
-def test_runs_on_seq_where_numpy_does_not_import():
+def test_runs_on_seq_where_numpy_does_not_import(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("id,x1,x2,weight\n3,0.5,1e400,7\n-0,-0,+2.5,-9223372036854775808\n")
     code = (
         "import sys; sys.modules['numpy'] = None\n"
         "from domscan import SUM, PipelineConfig, brute_force, run\n"
-        "from domscan.datafiles import generate_instance\n"
+        "from domscan.datafiles import generate_instance, read_points\n"
         "data, queries = generate_instance(30, 30, 2, seed=7)\n"
         "results, stats = run(data, queries, PipelineConfig(2, SUM))\n"
         "assert stats.backend == 'seq', stats.backend\n"
         "assert {r.id: r.value for r in results} == brute_force(data, queries, SUM)\n"
         "print('ok')\n"
+        f"table = read_points({str(path)!r}, queries=False)\n"
+        "assert table.arrays is None\n"
+        "print(repr(list(table)))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "ok"
+    table = read_points(str(path), queries=False)
+    assert table.arrays is not None
+    assert out.stdout.splitlines() == ["ok", repr(list(table))]
+
+
+def test_tables_from_read_points_reach_numpy_without_the_list_conversion(tmp_path, monkeypatch):
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    write_instance(str(d), str(q), *generate_instance(50, 50, 2, seed=8, distribution="gridded"), 2)
+    monkeypatch.setattr(vector, "_listed_columns", mock.Mock(side_effect=AssertionError("listed")))
+    for name in ("count", "sum", "min", "max"):
+        args = cli.build_parser().parse_args(["run", str(d), str(q), "--monoid", name])
+        data, queries, cfg = cli._load(args)
+        with mock.patch.object(vector, "_weights", wraps=vector._weights) as weights:
+            results, stats = run(data, queries, cfg)
+        assert stats.backend == "numpy"
+        # count's unit weights replace the parsed ones; the ids and coordinates stay
+        assert weights.call_args.args[3] is data.arrays.weights
+        assert (data.arrays.weights is None) == (name == "count")
+        assert {r.id: r.value for r in results} == brute_force(data, queries, cfg.monoid)
 
 
 def test_numpy_code_tables_hold_one_row_per_rank_and_role():

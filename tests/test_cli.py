@@ -137,6 +137,7 @@ def test_rows_that_parse_one_at_a_time_but_not_together_are_an_internal_error(ca
             raise ValueError("rows disagree")
         return parse_rows(rows, *args)
 
+    monkeypatch.setattr(domscan.datafiles, "_parse_arrays", lambda *args: None)
     monkeypatch.setattr(domscan.datafiles, "_parse_rows", whole_file_fails)
     assert main(["run", *FIXTURE]) == EXIT_INTERNAL
     assert _last_stderr_line(capsys) == (
@@ -272,6 +273,28 @@ def test_integers_past_the_digit_limit_are_read_and_printed_exactly(tmp_path, ca
     expected.write_text(f"5,1{'9' * 4299}7\n")
     assert main(["verify", str(d), str(q), "--monoid", "sum", "--expected", str(expected)]) == EXIT_MISMATCH
     assert capsys.readouterr().out.startswith("mismatch at line 1: pipeline '5,1999")
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy's parse of the weights into int64")
+@pytest.mark.parametrize(
+    "weights, backend",
+    [
+        ((-(2**63), 2**53 + 1, 2**63 - 1), "seq"),  # |-2**63| and the sum wrap in int64
+        ((-(2**53), 2**53, 5), "numpy"),
+    ],
+)
+def test_int64_weights_are_checked_without_wrapping(tmp_path, weights, backend):
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    d.write_text("id,x1,weight\n" + "".join(f"{i},{i},{w}\n" for i, w in enumerate(weights)))
+    q.write_text("id,x1\n7,5\n8,1.5\n")
+    for monoid in ("sum", "min", "max"):
+        args = domscan.cli.build_parser().parse_args(["run", str(d), str(q), "--monoid", monoid])
+        data, queries, cfg = domscan.cli._load(args)
+        assert data.arrays is not None
+        got, stats = domscan.cli.run(data, queries, cfg)
+        with backend_seam(lambda *args: domscan.primitives.SequentialBackend()):
+            want, _ = domscan.cli.run(data, queries, cfg)
+        assert repr(got) == repr(want) and stats.backend == backend
 
 
 def test_verify_mismatch_prints_integers_past_the_digit_limit(tmp_path, capsys, monkeypatch):

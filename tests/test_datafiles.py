@@ -3,10 +3,12 @@
 import math
 import sys
 import tempfile
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,10 +87,23 @@ def reference_read_points(path, *, queries, dims=None):
 # Integers of 4,300 digits and more: Python's limit on the digits of an
 # int read from text, which the weights are read past and ids are not.
 LONG = ["9" * 4300, "1" + "0" * 5000, "-" + "9" * 4400, "1_" + "0" * 4400]
-# Cells that parse, then cells that do not (or parse to NaN).
-IDS = ["0", "7", "+7", "-3", "1_000", "12", LONG[0]], ["abc", "", "1.5", *LONG[1:]]
-COORDS = ["0.5", "1e3", "+inf", "-inf", "1_000", "+7", "-0.0", "2"], ["nan", "x", ""]
-WEIGHTS = ["5", "5.0", "-2", "1e3", "+inf", "1_000", "+7", *LONG], ["nan", "w", ""]
+# Cells that parse, then cells that do not (or parse to NaN). Among them
+# are cells numpy's parse rejects and Python reads ("1_000", "١", an id
+# or weight past int64, a weight written as a float) and cells both read
+# ("\xa05", "INF", "1e400", "-0", "\x1c5").
+IDS = (
+    ["0", "7", "+7", "-3", "1_000", "12", "١", "\xa05", "-0", "\x1c5", "9223372036854775808", LONG[0]],
+    ["abc", "", "1.5", "1d5", "0x10", "INF", "Infinity", "1e400", *LONG[1:]],
+)
+COORDS = (
+    ["0.5", "1e3", "+inf", "-inf", "1_000", "+7", "-0.0", "2", "١", "\xa05", "INF", "Infinity", "1e400", "-0", "\x1c5"],
+    ["nan", "x", "", "1d5", "0x10"],
+)
+WEIGHTS = (
+    ["5", "5.0", "-2", "1e3", "+inf", "1_000", "+7", "١", "\xa05", "INF", "Infinity", "1e400", "-0", "\x1c5",
+     "9223372036854775808", *LONG],
+    ["nan", "w", "", "1d5", "0x10"],
+)
 SPACE = st.sampled_from(["", "", " ", "  ", "\t"])
 ENDS = ["\n", "\r\n", "\r"]
 BLANK = st.sampled_from(["", " ", "   ", "\t"])
@@ -149,12 +164,63 @@ def test_read_points_matches_the_line_by_line_reference(case):
         with open(path, "w", newline="") as fh:
             fh.write(text)
         want = parse(reference_read_points, path, queries, dims)
-        with mock.patch.object(datafiles, "_parse_rows", wraps=datafiles._parse_rows) as rows:
+        parse_arrays = datafiles._parse_arrays
+        numpy_parsed = []
+
+        def arrays(*args):
+            table = parse_arrays(*args)
+            numpy_parsed.append(table is not None)
+            return table
+
+        with mock.patch.object(datafiles, "_parse_arrays", arrays), mock.patch.object(
+            datafiles, "_parse_rows", wraps=datafiles._parse_rows
+        ) as rows:
             got = parse(read_points, path, queries, dims)
     assert got == want
     if isinstance(want, list):
-        # a file without a bad row, header-only included, is parsed once, whole
-        assert rows.call_count == 1
+        # a file without a bad row, header-only included, is parsed once,
+        # whole, by exactly one of the two parsers
+        assert numpy_parsed.count(True) + rows.call_count == 1
+
+
+@pytest.mark.parametrize(
+    "text, queries",
+    [
+        ("id,x1,weight\n4,0.25,-3\n", False),  # one row
+        ("id,x1,x2,weight\n1,0.5,2,7\n\n-0,-0,1e400,-9223372036854775808\n", False),
+        ("id,x1\n1,0.5\n2,3\n", False),  # every weight 1
+        ("id,x1,x2\r\n1, 0.5 ,+inf\r\n2,.5,INF\r\n", True),
+    ],
+)
+def test_plain_files_are_parsed_by_numpy(tmp_path, text, queries):
+    pytest.importorskip("numpy")
+    path = tmp_path / "points.csv"
+    path.write_text(text, newline="")
+    assert read_points(str(path), queries=queries).arrays is not None
+    with mock.patch.object(datafiles, "_parse_arrays", lambda *args: None):
+        assert read_points(str(path), queries=queries).arrays is None
+        want = parse(read_points, str(path), queries, None)
+    assert parse(read_points, str(path), queries, None) == want
+
+
+def test_a_parse_that_warns_or_predates_numpy_1_23_is_left_to_python(monkeypatch):
+    np = pytest.importorskip("numpy")
+    loadtxt = np.loadtxt
+
+    def loadtxt_reading_ints_through_float(rows, **kwargs):
+        # what loadtxt did from numpy 1.23: read "5.0" in an int64 field as 5, and warn
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return loadtxt([row.replace("5.0", "5") for row in rows], **kwargs)
+
+    assert datafiles._parse_arrays(["1,0.5,5"], 1, True, False) is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # no warning reaches the caller's filters
+        assert datafiles._parse_arrays(["1,0.5,5.0"], 1, True, False) is None
+        monkeypatch.setattr(np, "loadtxt", loadtxt_reading_ints_through_float)
+        assert datafiles._parse_arrays(["1,0.5,5.0"], 1, True, False) is None
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(np, "__version__", "1.22.4")
+    assert datafiles._parse_arrays(["1,0.5,5"], 1, True, False) is None
 
 
 def test_result_lines_format_whole_columns_as_each_value_would_be():
