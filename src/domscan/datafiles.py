@@ -17,7 +17,7 @@ from contextlib import contextmanager, suppress
 from itertools import repeat
 from typing import Any
 
-from .pipeline import InputError, Point, PointTable, TableArrays, data_point, query_point
+from .pipeline import InputError, Point, PointTable, data_point, query_point
 from .primitives import Records
 
 
@@ -40,9 +40,10 @@ def read_points(path: str, *, queries: bool, dims: int | None = None) -> PointTa
     report the offending physical line number, the header's included.
     Lines may end in LF, CRLF or CR; blank lines are skipped but counted.
 
-    The rows are parsed in C, once, by numpy (:func:`_parse_arrays`).
-    Where numpy does not import or cannot read every cell exactly as
-    Python would, they are parsed column by column in Python
+    The rows are parsed in C, once, by numpy (:func:`_parse_arrays`),
+    into columns that are numpy arrays read as Python values. Where
+    numpy does not import or cannot read every cell exactly as Python
+    would, they are parsed column by column in Python, into lists
     (:func:`_parse_rows`). When that fails, the same parse runs on one
     row at a time, cells stripped, to name the first bad line and its
     fault.
@@ -93,12 +94,13 @@ def read_lines(path: str) -> list[str]:
 
 
 def _parse_arrays(rows: list[str], m: int, has_weight: bool, queries: bool) -> PointTable | None:
-    """The rows as a table of ``m`` coordinate columns that carries the
-    arrays they were listed from (:class:`~domscan.pipeline.TableArrays`),
-    parsed by one ``numpy.loadtxt`` call: int64 ids, float64 coordinates
-    and int64 weights. None, so that :func:`_parse_rows` reads the rows,
-    when there are none, numpy does not import or is older than 1.23,
-    ``loadtxt`` raises or warns, or a coordinate is NaN.
+    """The rows as a table of ``m`` coordinate columns, parsed by one
+    ``numpy.loadtxt`` call into :class:`~domscan.vector.Column` objects:
+    int64 ids, float64 coordinates and int64 weights, all 1 when the
+    file has no weight column (queries weigh None). None, so that
+    :func:`_parse_rows` reads the rows, when there are none, numpy does
+    not import or is older than 1.23, ``loadtxt`` raises or warns, or a
+    coordinate is NaN.
 
     Where numpy and Python read a cell differently, numpy rejects it:
     ``1_0``, non-ASCII digits, an id or weight past int64 and a weight
@@ -113,6 +115,8 @@ def _parse_arrays(rows: list[str], m: int, has_weight: bool, queries: bool) -> P
         return None
     try:
         import numpy as np
+
+        from .vector import Column
     except ImportError:
         return None
     if np.lib.NumpyVersion(np.__version__) < "1.23.0":
@@ -129,15 +133,13 @@ def _parse_arrays(rows: list[str], m: int, has_weight: bool, queries: bool) -> P
     coords = np.stack([table[f"x{d}"] for d in range(m)])
     if np.isnan(coords).any():
         return None
-    ids = table["id"].copy()
     if has_weight:
-        weights = table["weight"].copy()
-        listed = weights.tolist()
+        weights = Column(table["weight"].copy())
     elif queries:
-        weights, listed = None, [None] * len(ids)
+        weights = [None] * len(table)
     else:
-        weights, listed = np.ones(len(ids), dtype=np.int64), [1] * len(ids)
-    return PointTable(ids.tolist(), coords.tolist(), listed, queries, arrays=TableArrays(ids, coords, weights))
+        weights = Column(np.ones(len(table), dtype=np.int64))
+    return PointTable(Column(table["id"].copy()), [Column(c) for c in coords], weights, queries)
 
 
 def _parse_rows(rows: list[str], ncols: int, m: int, has_weight: bool, queries: bool) -> PointTable:

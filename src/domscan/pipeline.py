@@ -43,8 +43,8 @@ The answers come back as :class:`QueryResults`, two columns (ids and
 values) that read as a list of :class:`QueryResult`.
 
 The same chain runs on either backend :func:`make_backend` picks; the
-numpy backend calls each function's ``columns`` form, when it has one,
-on whole columns.
+whole-column backend (:mod:`~domscan.vector`) calls each flatmap
+kernel's ``columns`` form on whole columns.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product, starmap
+from itertools import chain, product, starmap
 from operator import attrgetter
 from typing import Any, NamedTuple
 
@@ -95,38 +95,24 @@ class Point:
     is_query: bool = False
 
 
-class TableArrays(NamedTuple):
-    """The numpy arrays a file's numpy parse
-    (:func:`~domscan.datafiles.read_points`) listed a table's columns
-    from. They prove every id an ``int`` in int64 range, no coordinate
-    NaN and every weight an ``int`` in int64 range."""
-
-    ids: Any  # int64
-    coords: Any  # float64, one row per dimension
-    weights: Any  # int64 data weights; None for queries and after reweighting
-
-
 class PointTable:
-    """Points of one role as columns: ``ids``, ``coords`` (one list per
-    dimension) and ``weights``, aligned by row.
+    """Points of one role as columns: ``ids``, ``coords`` (one sequence
+    per dimension) and ``weights``, aligned by row. A column is any
+    sequence whose elements are the Python values of its points.
 
     ``len()`` is the row count. Iteration yields :class:`Point` objects:
     the ones the table was made from (:func:`point_table`), or points
     built from the columns on first use.
-
-    ``arrays`` is the :class:`TableArrays` the columns were listed from,
-    or None for a table of any other origin.
     """
 
-    __slots__ = ("ids", "coords", "weights", "is_query", "_points", "arrays")
+    __slots__ = ("ids", "coords", "weights", "is_query", "_points")
 
-    def __init__(self, ids, coords, weights, is_query: bool, points=None, arrays=None):
+    def __init__(self, ids, coords, weights, is_query: bool, points=None):
         self.ids = ids
         self.coords = coords
         self.weights = weights
         self.is_query = is_query
         self._points = points
-        self.arrays = arrays
 
     @property
     def dims(self) -> int:
@@ -142,10 +128,8 @@ class PointTable:
         return iter(self._points)
 
     def reweighted(self, weights) -> PointTable:
-        """The table with ``weights`` in place of its own; it keeps the
-        parsed ids and coordinates, not the parsed weights."""
-        arrays = self.arrays and self.arrays._replace(weights=None)
-        return PointTable(self.ids, self.coords, weights, self.is_query, arrays=arrays)
+        """The table with ``weights`` in place of its own."""
+        return PointTable(self.ids, self.coords, weights, self.is_query)
 
 
 def point_table(points, is_query: bool, dims: int) -> PointTable:
@@ -235,7 +219,7 @@ class ExpansionStats:
     scan is not the unit. ``elements_processed`` sums, over every
     primitive call, the lengths of its sequence arguments plus its
     output; ``primitive_calls`` counts the calls themselves.
-    ``backend`` names the backend that ran: ``"seq"`` or ``"numpy"``.
+    ``backend`` is the ``name`` of the backend that ran.
     """
 
     data_count: int
@@ -265,19 +249,17 @@ class PipelineConfig:
 def _validate(data: PointTable, queries: PointTable) -> None:
     """Reject NaN coordinates, NaN weights and repeated ids. Each check
     scans whole columns; only a failing one walks the points, to name
-    the first offending point. A table that carries ``arrays`` has no
-    NaN to scan for."""
+    the first offending point."""
     for table in (data, queries):
-        if table.arrays is None and any(any(map(math.isnan, column)) for column in table.coords):
+        if any(any(map(math.isnan, column)) for column in table.coords):
             bad = next(p for p in table if any(map(math.isnan, p.coords)))
             raise InputError(f"point {bad.id} has a NaN coordinate")
-    if data.arrays is None and any(w != w for w in data.weights):
+    if any(w != w for w in data.weights):
         bad = next(p for p in data if p.weight != p.weight)
         raise InputError(f"point {bad.id} has a NaN weight")
-    ids = [*data.ids, *queries.ids]
-    if len(set(ids)) != len(ids):
+    if len(set(chain(data.ids, queries.ids))) != len(data) + len(queries):
         seen: set = set()
-        for i in ids:
+        for i in chain(data.ids, queries.ids):
             if i in seen:
                 raise InputError(f"duplicate point id {i}")
             seen.add(i)
@@ -399,8 +381,7 @@ class _Expansion:
     prefix code lists (zero-prefixes for data, one-prefixes for queries),
     each code shifted to its dimension's field, in the order
     ``itertools.product`` gives. Code lists are cached per dimension,
-    rank and role. :meth:`columns` is the same kernel over whole columns,
-    for the numpy backend.
+    rank and role. :meth:`columns` is the same kernel over whole columns.
     """
 
     def __init__(self, dq, ranks, widths):

@@ -16,13 +16,12 @@ the type of each value:
 - packed keys fit in int64, ``sum(w + 1) <= 63`` over the rank widths,
   and no scan can overflow int64 (:func:`fits_int64`).
 
-Tables that ``read_points`` parsed with numpy carry the arrays their
-lists were made from (``PointTable.arrays``): int64 ids, float64
-coordinates and int64 weights, which prove the first condition and
-the weights' type. Their ids and coordinates are used as they are,
-without a list round trip, and a min or max reads only the weights'
-minimum and maximum, as Python ints, to find weights past 53 bits.
-Tables of other origin, and sums, are checked value by value.
+Each table column is converted on its own. A :class:`Column` of int64
+ids or float64 coordinates, as ``read_points`` makes when numpy parses
+a file, proves the first condition by its dtype and is used as it is;
+a min or max over a Column of int64 weights reads only their minimum
+and maximum, as Python ints, to find weights past 53 bits. Every other
+column, and sum weights, is checked value by value.
 
 Sequences are :class:`Column` objects: 1-D arrays that read like Python
 sequences (``len``, truth, iteration and a scalar index give Python
@@ -32,9 +31,9 @@ int64 and sorts those values, a float key column packed as its dense
 codes; only keys that need more than 63 bits fall back to a lexsort.
 Scans use ``ufunc.accumulate``. Functions given to ``map`` are called
 once on whole arrays, so they must work elementwise (operators,
-indexing) or carry their whole-column form as a ``columns``
-attribute. A flatmap kernel always carries one: given the input
-columns, it returns the columns of all of its outputs at once.
+indexing). A flatmap kernel carries its whole-column form as a
+``columns`` attribute: given the input columns, it returns the
+columns of all of its outputs at once.
 
 Full-length integer columns are int32 where their values are known to
 fit it, and int64 otherwise: the expansion's point indices, and its
@@ -62,7 +61,8 @@ _INT64_LIMIT = 1 << 63
 
 class Column:
     """One column: an array plus, for min/max weights, the Python object
-    each code stands for.
+    each code stands for. The columns of a point table that numpy parsed
+    (``read_points``) are Columns too.
 
     Min and max weights are stored as codes, the ranks of the distinct
     weights, so scans compare integers and every result decodes to one
@@ -152,13 +152,22 @@ def fits_int64(widths, n_points: int, magnitude: int) -> bool:
     )
 
 
-def _weights(weights, n_queries: int, monoid, array=None):
+def _array_of(column, dtype):
+    """The array behind ``column`` when it is a :class:`Column` of
+    ``dtype`` values read as they are, otherwise None."""
+    if isinstance(column, Column) and column.decode is None and column.a.dtype == dtype:
+        return column.a
+    return None
+
+
+def _weights(weights, n_queries: int, monoid):
     """``(column, magnitude)`` for the data weights followed by the unit
     in every query slot, or None when numpy cannot reproduce the
-    sequential results exactly. ``array`` is the weights' int64 array
-    when a parse has proved them ``int`` (``TableArrays.weights``): a
-    min or max then reads its minimum and maximum as Python ints, and
+    sequential results exactly. A min or max over a :class:`Column` of
+    int64 weights reads its minimum and maximum as Python ints, and
     checks weights past 53 bits one by one, as a list is."""
+    array = _array_of(weights, np.int64)
+    weights = list(weights)
     if monoid.ufunc == "add":
         if not set(map(type, weights)) <= {int} or monoid.unit != 0:
             return None
@@ -190,41 +199,38 @@ def _weights(weights, n_queries: int, monoid, array=None):
     return Column(column, decode), len(distinct)
 
 
-def _listed_columns(data, queries):
-    """``(ids, coords)`` of two tables' lists as an int64 array and a
-    float64 array, one row per dimension; None unless every id is an
-    ``int`` that fits int64 and every coordinate round-trips through
-    float64 exactly."""
-    columns = [a + b for a, b in zip(data.coords, queries.coords)]
-    id_list = data.ids + queries.ids
-    if not set(map(type, id_list)) <= {int}:
+def _as_array(column, dtype):
+    """One table column of ids (int64) or coordinates (float64) as an
+    array, or None when that would change a value: an id that is not
+    an ``int`` or is past int64, a coordinate that does not round-trip
+    through float64. A :class:`Column` of ``dtype`` is used as it is."""
+    array = _array_of(column, dtype)
+    if array is not None:
+        return array
+    values = list(column)
+    if dtype == np.int64 and not set(map(type, values)) <= {int}:
         return None
     try:
-        coords = np.array(columns, dtype=np.float64)
-        ids = np.array(id_list, dtype=np.int64)
+        array = np.array(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         return None
-    if coords.tolist() != columns:
-        return None
-    return ids, coords
+    return array if array.tolist() == values else None
 
 
 def point_columns(data, queries, monoid, ranked: int) -> PointColumns | None:
     """The input (two :class:`~domscan.pipeline.PointTable`) as columns,
     or None when numpy cannot reproduce the sequential backend's results
-    for it (see the module docstring). Tables that carry ``arrays`` give
-    their ids and coordinates as they are: the parse proved them."""
+    for it (see the module docstring)."""
     n = len(data) + len(queries)
-    if data.arrays is not None and queries.arrays is not None:
-        ids = np.concatenate((data.arrays.ids, queries.arrays.ids))
-        coords = np.concatenate((data.arrays.coords, queries.arrays.coords), axis=1)
-        weighted = _weights(data.weights, len(queries), monoid, data.arrays.weights)
-    else:
-        listed = _listed_columns(data, queries)
-        if listed is None:
-            return None
-        ids, coords = listed
-        weighted = _weights(data.weights, len(queries), monoid)
+    tables = (data, queries)
+    ids = [_as_array(table.ids, np.int64) for table in tables]
+    coords = [_as_array(column, np.float64) for table in tables for column in table.coords]
+    if any(a is None for a in (*ids, *coords)):
+        return None
+    m = data.dims
+    ids = np.concatenate(ids)
+    coords = np.stack([np.concatenate(coords[d::m]) for d in range(m)])
+    weighted = _weights(data.weights, len(queries), monoid)
     if weighted is None:
         return None
     weight, magnitude = weighted
@@ -379,11 +385,11 @@ class NumpyBackend:
         return x[_order(keys, len(x))]
 
     def map(self, f, *xs):
-        """``f`` (or its ``columns`` form) applied once to the whole
-        arrays; a result that is not a :class:`Column` becomes one."""
+        """``f`` applied once to the whole arrays; a result that is not a
+        :class:`Column` becomes one."""
         if len(xs) > 1:
             _check_lengths(xs)
-        out = getattr(f, "columns", f)(*map(_array, xs))
+        out = f(*map(_array, xs))
         return out if isinstance(out, Column) else Column(np.asarray(out))
 
     def flatmap(self, f, *xs):

@@ -17,7 +17,7 @@ from backends import backend_seam, run_on  # noqa: E402
 from domscan import brute_force, cli, vector  # noqa: E402
 from domscan.datafiles import generate_instance, read_points, write_instance  # noqa: E402
 from domscan.monoids import COUNT, FLOAT_SUM, MAX, MIN, MONOIDS, SUM  # noqa: E402
-from domscan.pipeline import PipelineConfig, data_point, point_table, query_point, run  # noqa: E402
+from domscan.pipeline import InputError, PipelineConfig, data_point, point_table, query_point, run  # noqa: E402
 from domscan.primitives import CountingBackend, Records, SequentialBackend, make_backend  # noqa: E402
 from domscan.vector import Column, NumpyBackend, PointColumns, fits_int64  # noqa: E402
 
@@ -172,29 +172,65 @@ def test_runs_on_seq_where_numpy_does_not_import(tmp_path):
         "assert {r.id: r.value for r in results} == brute_force(data, queries, SUM)\n"
         "print('ok')\n"
         f"table = read_points({str(path)!r}, queries=False)\n"
-        "assert table.arrays is None\n"
+        "assert all(type(c) is list for c in (table.ids, *table.coords, table.weights))\n"
         "print(repr(list(table)))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     table = read_points(str(path), queries=False)
-    assert table.arrays is not None
+    assert all(isinstance(c, Column) for c in (table.ids, *table.coords, table.weights))
     assert out.stdout.splitlines() == ["ok", repr(list(table))]
 
 
 def test_tables_from_read_points_reach_numpy_without_the_list_conversion(tmp_path, monkeypatch):
     d, q = tmp_path / "d.csv", tmp_path / "q.csv"
     write_instance(str(d), str(q), *generate_instance(50, 50, 2, seed=8, distribution="gridded"), 2)
-    monkeypatch.setattr(vector, "_listed_columns", mock.Mock(side_effect=AssertionError("listed")))
+    as_array = vector._as_array
+
+    def as_is(column, dtype):
+        # every id and coordinate column is the parsed array, not one converted from Python values
+        array = as_array(column, dtype)
+        assert isinstance(column, Column) and array is column.a
+        return array
+
+    monkeypatch.setattr(vector, "_as_array", as_is)
     for name in ("count", "sum", "min", "max"):
         args = cli.build_parser().parse_args(["run", str(d), str(q), "--monoid", name])
         data, queries, cfg = cli._load(args)
         with mock.patch.object(vector, "_weights", wraps=vector._weights) as weights:
             results, stats = run(data, queries, cfg)
         assert stats.backend == "numpy"
-        # count's unit weights replace the parsed ones; the ids and coordinates stay
-        assert weights.call_args.args[3] is data.arrays.weights
-        assert (data.arrays.weights is None) == (name == "count")
+        # count's unit weights replace the parsed int64 column; the ids and coordinates stay
+        assert weights.call_args.args[0] is data.weights
+        assert isinstance(data.weights, Column) == (name != "count")
         assert {r.id: r.value for r in results} == brute_force(data, queries, cfg.monoid)
+
+
+@pytest.mark.parametrize("monoid", [MIN, SUM])
+def test_a_nan_weight_given_to_a_parsed_table_is_rejected(tmp_path, monoid):
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    d.write_text("id,x1,weight\n1,0.5,3\n2,0.7,4\n")
+    q.write_text("id,x1\n5,0.9\n")
+    data = read_points(str(d), queries=False)
+    assert isinstance(data.ids, Column)
+    with pytest.raises(InputError, match="^point 1 has a NaN weight$"):
+        run(data.reweighted([math.nan, 4]), read_points(str(q), queries=True), PipelineConfig(1, monoid))
+
+
+@pytest.mark.parametrize("monoid", [COUNT, SUM, MIN, MAX])
+def test_a_numpy_parsed_data_file_runs_with_a_python_parsed_query_file(tmp_path, monoid):
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    data, queries = generate_instance(60, 40, 2, seed=9, distribution="gridded")
+    write_instance(str(d), str(q), data, queries, 2)
+    # an id written 1_0 is read by Python, not by numpy
+    q.write_text(q.read_text().replace(f"\n{queries[0].id},", f"\n{'_'.join(str(queries[0].id))},", 1))
+    tables = read_points(str(d), queries=False), read_points(str(q), queries=True)
+    assert isinstance(tables[0].ids, Column) and type(tables[1].ids) is list
+    assert [p.id for p in tables[1]] == [p.id for p in queries]
+    cfg = PipelineConfig(2, monoid)
+    got, stats = run_on("numpy", *tables, cfg)
+    want, _ = run_on("seq", *tables, cfg)
+    assert stats.backend == "numpy"
+    assert repr(got) == repr(want)
 
 
 def test_numpy_code_tables_hold_one_row_per_rank_and_role():

@@ -284,13 +284,15 @@ def test_integers_past_the_digit_limit_are_read_and_printed_exactly(tmp_path, ca
     ],
 )
 def test_int64_weights_are_checked_without_wrapping(tmp_path, weights, backend):
+    from domscan.vector import Column
+
     d, q = tmp_path / "d.csv", tmp_path / "q.csv"
     d.write_text("id,x1,weight\n" + "".join(f"{i},{i},{w}\n" for i, w in enumerate(weights)))
     q.write_text("id,x1\n7,5\n8,1.5\n")
     for monoid in ("sum", "min", "max"):
         args = domscan.cli.build_parser().parse_args(["run", str(d), str(q), "--monoid", monoid])
         data, queries, cfg = domscan.cli._load(args)
-        assert data.arrays is not None
+        assert isinstance(data.weights, Column) and data.weights.a.dtype == "int64"
         got, stats = domscan.cli.run(data, queries, cfg)
         with backend_seam(lambda *args: domscan.primitives.SequentialBackend()):
             want, _ = domscan.cli.run(data, queries, cfg)

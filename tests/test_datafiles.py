@@ -196,9 +196,14 @@ def test_plain_files_are_parsed_by_numpy(tmp_path, text, queries):
     pytest.importorskip("numpy")
     path = tmp_path / "points.csv"
     path.write_text(text, newline="")
-    assert read_points(str(path), queries=queries).arrays is not None
+    from domscan.vector import Column
+
+    table = read_points(str(path), queries=queries)
+    assert all(isinstance(c, Column) for c in (table.ids, *table.coords))
+    assert isinstance(table.weights, list if queries else Column)
     with mock.patch.object(datafiles, "_parse_arrays", lambda *args: None):
-        assert read_points(str(path), queries=queries).arrays is None
+        table = read_points(str(path), queries=queries)
+        assert all(type(c) is list for c in (table.ids, *table.coords, table.weights))
         want = parse(read_points, str(path), queries, None)
     assert parse(read_points, str(path), queries, None) == want
 
