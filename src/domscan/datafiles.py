@@ -18,7 +18,6 @@ from itertools import repeat
 from typing import Any
 
 from .pipeline import InputError, Point, PointTable, data_point, query_point
-from .primitives import Records
 
 
 def _parse_number(text: str) -> Any:
@@ -232,10 +231,9 @@ def format_column(values) -> list[str]:
 
 
 def result_lines(results) -> list[str]:
-    """One ``id,value`` line per result, formatted column by column;
-    ``results`` is a run's :class:`~domscan.pipeline.QueryResults` or a
-    list of ``(id, value)`` rows."""
-    ids, values = results.columns if isinstance(results, Records) else (list(zip(*results)) or ([], []))
+    """One ``id,value`` line per result of a run's
+    :class:`~domscan.pipeline.QueryResults`, formatted column by column."""
+    ids, values = results.columns
     return list(map(",".join, zip(map(str, ids), format_column(values))))
 
 

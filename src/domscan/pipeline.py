@@ -100,19 +100,17 @@ class PointTable:
     per dimension) and ``weights``, aligned by row. A column is any
     sequence whose elements are the Python values of its points.
 
-    ``len()`` is the row count. Iteration yields :class:`Point` objects:
-    the ones the table was made from (:func:`point_table`), or points
-    built from the columns on first use.
+    ``len()`` is the row count. Iteration yields a :class:`Point` per
+    row, built from the columns.
     """
 
-    __slots__ = ("ids", "coords", "weights", "is_query", "_points")
+    __slots__ = ("ids", "coords", "weights", "is_query")
 
-    def __init__(self, ids, coords, weights, is_query: bool, points=None):
+    def __init__(self, ids, coords, weights, is_query: bool):
         self.ids = ids
         self.coords = coords
         self.weights = weights
         self.is_query = is_query
-        self._points = points
 
     @property
     def dims(self) -> int:
@@ -122,10 +120,8 @@ class PointTable:
         return len(self.ids)
 
     def __iter__(self):
-        if self._points is None:
-            rows = zip(self.ids, zip(*self.coords), self.weights)
-            self._points = [Point(i, c, w, self.is_query) for i, c, w in rows]
-        return iter(self._points)
+        rows = zip(self.ids, zip(*self.coords), self.weights)
+        return (Point(i, c, w, self.is_query) for i, c, w in rows)
 
     def reweighted(self, weights) -> PointTable:
         """The table with ``weights`` in place of its own."""
@@ -142,7 +138,6 @@ def point_table(points, is_query: bool, dims: int) -> PointTable:
         if points.is_query != is_query or points.dims != dims:
             _reject(points.ids[0], points.is_query, points.dims, is_query, dims)
         return points
-    points = list(points)
     ids, rows, weights = [], [], []
     for p in points:
         if p.is_query != is_query or len(p.coords) != dims:
@@ -151,7 +146,7 @@ def point_table(points, is_query: bool, dims: int) -> PointTable:
         rows.append(p.coords)
         weights.append(p.weight)
     coords = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(dims)]
-    return PointTable(ids, coords, weights, is_query, points)
+    return PointTable(ids, coords, weights, is_query)
 
 
 def _reject(point_id, point_is_query, n_coords, is_query, dims):

@@ -10,18 +10,21 @@ the type of each value:
 
 - every coordinate round-trips through float64 exactly, and every id
   is an ``int`` that fits int64;
-- count and sum weights are ``int``; min and max weights are all ``int``
-  (each round-tripping through float64) or all ``float`` (no NaN, no
-  -0.0), so equal weights have equal ``repr``;
+- count and sum weights are ``int`` values that fit int64; min and max
+  weights are all such ``int`` values with ``|w| <= 2**53`` (exact in
+  float64) or all ``float`` (no NaN, no -0.0), so equal weights have
+  equal ``repr``;
 - packed keys fit in int64, ``sum(w + 1) <= 63`` over the rank widths,
-  and no scan can overflow int64 (:func:`fits_int64`).
+  and no scan can overflow int64 (:func:`fits_int64`, which bounds the
+  sum of absolute weights for sums).
 
-Each table column is converted on its own. A :class:`Column` of int64
-ids or float64 coordinates, as ``read_points`` makes when numpy parses
-a file, proves the first condition by its dtype and is used as it is;
-a min or max over a Column of int64 weights reads only their minimum
-and maximum, as Python ints, to find weights past 53 bits. Every other
-column, and sum weights, is checked value by value.
+Each table column is converted on its own, by one rule
+(:func:`_as_array`): a :class:`Column` of int64 ids or weights or of
+float64 coordinates, as ``read_points`` makes when numpy parses a file,
+proves its value condition by its dtype and is used as it is; every
+other column is checked value by value. Integer weights then meet only
+their monoid's rules: a sum reads ``sum(|w|)``, a min or max reads the
+minimum and maximum to find a weight past ``2**53``.
 
 Sequences are :class:`Column` objects: 1-D arrays that read like Python
 sequences (``len``, truth, iteration and a scalar index give Python
@@ -152,46 +155,29 @@ def fits_int64(widths, n_points: int, magnitude: int) -> bool:
     )
 
 
-def _array_of(column, dtype):
-    """The array behind ``column`` when it is a :class:`Column` of
-    ``dtype`` values read as they are, otherwise None."""
-    if isinstance(column, Column) and column.decode is None and column.a.dtype == dtype:
-        return column.a
-    return None
-
-
 def _weights(weights, n_queries: int, monoid):
     """``(column, magnitude)`` for the data weights followed by the unit
     in every query slot, or None when numpy cannot reproduce the
-    sequential results exactly. A min or max over a :class:`Column` of
-    int64 weights reads its minimum and maximum as Python ints, and
-    checks weights past 53 bits one by one, as a list is."""
-    array = _array_of(weights, np.int64)
-    weights = list(weights)
+    sequential results exactly. Integer weights are converted as ids
+    are (:func:`_as_array`)."""
+    ints = _as_array(weights, np.int64)
     if monoid.ufunc == "add":
-        if not set(map(type, weights)) <= {int} or monoid.unit != 0:
+        if ints is None or monoid.unit != 0:
             return None
-        magnitude = sum(map(abs, weights))
-        if magnitude >= _INT64_LIMIT:
-            return None
-        values = np.zeros(len(weights) + n_queries, dtype=_int_type(-magnitude, magnitude))
-        values[: len(weights)] = weights
+        magnitude = sum(map(abs, ints.tolist()))
+        values = np.zeros(len(ints) + n_queries, dtype=_int_type(-magnitude, magnitude))
+        values[: len(ints)] = ints
         return Column(values), magnitude
     objects = [*weights, monoid.unit]
-    if array is not None and max(-int(array.min()), int(array.max())) <= 1 << 53:
-        # every int64 of at most 53 bits is exact in float64
-        values = np.append(array, monoid.unit)  # float64, as the unit is a float
+    if ints is not None:
+        if len(ints) and max(-int(ints.min()), int(ints.max())) > 1 << 53:
+            return None
+        values = np.append(ints, monoid.unit)  # float64, exact for |w| <= 2**53
     else:
-        types = set(map(type, weights))
-        if not (types <= {int} or types == {float}):
+        if set(map(type, objects[:-1])) != {float}:
             return None
-        try:
-            values = np.array(objects, dtype=np.float64)
-        except OverflowError:
-            return None
-        if values.tolist() != objects:  # an int that float64 rounds
-            return None
-        if np.any(np.signbit(values) & (values == 0)):
+        values = np.array(objects)
+        if np.any(np.isnan(values) | (np.signbit(values) & (values == 0))):
             return None
     distinct, first, codes = np.unique(values, return_index=True, return_inverse=True)
     decode = [objects[i] for i in first.tolist()]
@@ -200,13 +186,13 @@ def _weights(weights, n_queries: int, monoid):
 
 
 def _as_array(column, dtype):
-    """One table column of ids (int64) or coordinates (float64) as an
-    array, or None when that would change a value: an id that is not
-    an ``int`` or is past int64, a coordinate that does not round-trip
-    through float64. A :class:`Column` of ``dtype`` is used as it is."""
-    array = _array_of(column, dtype)
-    if array is not None:
-        return array
+    """One table column of integers (int64) or coordinates (float64) as
+    an array, or None when that would change a value: an integer that is
+    not an ``int`` or is past int64, a coordinate that does not
+    round-trip through float64. A :class:`Column` of ``dtype`` is used
+    as it is."""
+    if isinstance(column, Column) and column.decode is None and column.a.dtype == dtype:
+        return column.a
     values = list(column)
     if dtype == np.int64 and not set(map(type, values)) <= {int}:
         return None

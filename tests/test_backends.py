@@ -185,23 +185,30 @@ def test_tables_from_read_points_reach_numpy_without_the_list_conversion(tmp_pat
     d, q = tmp_path / "d.csv", tmp_path / "q.csv"
     write_instance(str(d), str(q), *generate_instance(50, 50, 2, seed=8, distribution="gridded"), 2)
     as_array = vector._as_array
+    seen = []
 
     def as_is(column, dtype):
-        # every id and coordinate column is the parsed array, not one converted from Python values
+        # a parsed column is used as it is, never converted from Python values
         array = as_array(column, dtype)
-        assert isinstance(column, Column) and array is column.a
+        if isinstance(column, Column):
+            assert array is column.a
+        seen.append(column)
         return array
 
     monkeypatch.setattr(vector, "_as_array", as_is)
     for name in ("count", "sum", "min", "max"):
         args = cli.build_parser().parse_args(["run", str(d), str(q), "--monoid", name])
         data, queries, cfg = cli._load(args)
+        seen.clear()
         with mock.patch.object(vector, "_weights", wraps=vector._weights) as weights:
             results, stats = run(data, queries, cfg)
         assert stats.backend == "numpy"
-        # count's unit weights replace the parsed int64 column; the ids and coordinates stay
         assert weights.call_args.args[0] is data.weights
+        # the weights convert by the ids' rule; count's unit weights, a list, replace
+        # the parsed int64 column and are the only column converted from Python values
+        assert any(c is data.weights for c in seen)
         assert isinstance(data.weights, Column) == (name != "count")
+        assert [c is data.weights for c in seen if not isinstance(c, Column)] == ([True] if name == "count" else [])
         assert {r.id: r.value for r in results} == brute_force(data, queries, cfg.monoid)
 
 
@@ -353,6 +360,48 @@ def test_min_max_weights_numpy_cannot_reproduce_fall_back(weights):
     queries = [query_point(10, (9.0, 9.0))]
     for monoid in (MIN, MAX):
         assert backend_for(data, queries, monoid) == "seq"
+
+
+@pytest.mark.parametrize(
+    "weight, backend",
+    [(2**53, "numpy"), (-(2**53), "numpy"), (2**53 + 1, "seq"), (-(2**53) - 1, "seq"), (2**60, "seq")],
+)
+def test_min_max_integer_weights_run_on_numpy_within_2_to_the_53(tmp_path, weight, backend):
+    # one rule for a list of ints and a parsed int64 column: |w| <= 2**53 is exact in float64
+    data = [data_point(0, (0.5, 0.5), weight), data_point(1, (0.25, 0.75), 3), data_point(2, (0.75, 0.25), -2)]
+    queries = [query_point(5, (1.0, 1.0)), query_point(6, (0.6, 0.6)), query_point(7, (0.1, 0.1))]
+    paths = str(tmp_path / "d.csv"), str(tmp_path / "q.csv")
+    write_instance(*paths, data, queries, 2)
+    parsed = read_points(paths[0], queries=False), read_points(paths[1], queries=True)
+    assert isinstance(parsed[0].weights, Column) and parsed[0].weights.a.dtype == np.int64
+    for monoid in (MIN, MAX):
+        for variant in ("basic", "improved"):
+            cfg = PipelineConfig(2, monoid, variant)
+            want, _ = run_on("seq", data, queries, cfg)
+            assert want[1].value == weight  # query 6 dominates point 0 alone
+            for tables in ((data, queries), parsed):
+                got, stats = run_on("numpy", *tables, cfg)
+                assert stats.backend == backend
+                assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_regroup_scan_widens_partials_the_regroup_sort_narrowed(variant):
+    # Sum(|w|) passes 2**31, so the weights are int64; the regroup sort reads
+    # the partials back at the width of their range, int32 here in the basic variant
+    weights = [490713357, 265597842, 936461578, 142349003, 936466064, -40659754, -177086146]
+    xs = [0.5, 0.5, 0.0, 0.25, 0.0, 0.0, 0.0]
+    data = [data_point(i, (x,), w) for i, (x, w) in enumerate(zip(xs, weights))]
+    queries = [query_point(10 + i, (x,)) for i, x in enumerate((0.0, 0.75, 0.5))]
+    cfg = PipelineConfig(1, SUM, variant)
+    want, _, _ = recorded_run("seq", data, queries, cfg)
+    got, _, calls = recorded_run("numpy", data, queries, cfg)
+    assert [r.value for r in want] == [0, 2553841944, 1797530745]
+    assert repr(got) == repr(want)
+    regroup_sort = calls[-4]
+    assert regroup_sort[0] == "sort"
+    if variant == "basic":
+        assert regroup_sort[1].columns[1].a.dtype == np.int32
 
 
 def test_non_integer_ids_fall_back():
