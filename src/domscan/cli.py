@@ -49,7 +49,6 @@ EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 
 CLI_MONOIDS = ("count", "sum", "min", "max")
-_FLOAT_MAX = int(sys.float_info.max)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,13 +121,6 @@ def _setup(args, data: PointTable, queries, dims: int):
         # Float addition depends on the order of the terms, so float weights
         # are summed under the float monoid, which compares within a tolerance.
         monoid = FLOAT_SUM
-        # An integer sum past float range raises where a float meets it; the
-        # absolute integer weights bound every sum a run or the reference forms.
-        total = 0
-        for point_id, weight in zip(data.ids, data.weights):
-            total += abs(weight) if isinstance(weight, int) else 0
-            if total > _FLOAT_MAX:
-                raise InputError(f"point {point_id}: integer weights too large to sum with float weights")
     return data, queries, PipelineConfig(dims=dims, monoid=monoid, variant=args.variant)
 
 

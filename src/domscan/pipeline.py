@@ -50,11 +50,12 @@ kernel's ``columns`` form on whole columns.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, product, starmap
-from operator import attrgetter
+from itertools import chain, product, repeat, starmap
+from operator import add, attrgetter
 from typing import Any, NamedTuple
 
 from . import bits
@@ -131,8 +132,10 @@ class PointTable:
 def point_table(points, is_query: bool, dims: int) -> PointTable:
     """``points`` (a :class:`PointTable` or an iterable of :class:`Point`)
     as a table of ``dims`` coordinate columns, checking every point's
-    role and coordinate count."""
+    role and coordinate count and every column's length."""
     if isinstance(points, PointTable):
+        if any(len(column) != len(points) for column in (*points.coords, points.weights)):
+            raise InputError(f"point table columns differ in length from its {len(points)} ids")
         if not points:
             return PointTable([], [[] for _ in range(dims)], [], is_query)
         if points.is_query != is_query or points.dims != dims:
@@ -260,6 +263,21 @@ def _validate(data: PointTable, queries: PointTable) -> None:
             seen.add(i)
 
 
+def _check_float_range(data: PointTable, monoid: Monoid) -> None:
+    """Reject integer weights whose sum is past float range where an adding
+    monoid meets a float weight or unit: adding a float to such an int
+    raises. The absolute integer weights bound every sum a run or the
+    reference forms."""
+    if monoid.combine is add and (
+        isinstance(monoid.unit, float) or any(map(isinstance, data.weights, repeat(float)))
+    ):
+        total = 0
+        for point_id, weight in zip(data.ids, data.weights):
+            total += abs(weight) if isinstance(weight, int) else 0
+            if total > sys.float_info.max:
+                raise InputError(f"point {point_id}: integer weights too large to sum with float weights")
+
+
 def run(data, queries, cfg: PipelineConfig):
     """Aggregate over dominated points with the variant ``cfg`` selects.
 
@@ -282,8 +300,9 @@ def run(data, queries, cfg: PipelineConfig):
         raise InputError("dims must be at least 1")
     data = point_table(data, False, cfg.dims)
     queries = point_table(queries, True, cfg.dims)
-    _validate(data, queries)
     monoid = cfg.monoid
+    _check_float_range(data, monoid)
+    _validate(data, queries)
     # A query weighs the unit: it adds nothing to any fold it reaches.
     queries = queries.reweighted([monoid.unit] * len(queries))
     ranked = cfg.dims - 1 if improved else cfg.dims

@@ -29,14 +29,15 @@ minimum and maximum to find a weight past ``2**53``.
 Sequences are :class:`Column` objects: 1-D arrays that read like Python
 sequences (``len``, truth, iteration and a scalar index give Python
 values; an index array gives a :class:`Column`, gathered with
-``take``). Sorting packs the key columns with the row index into one
-int64 and sorts those values, a float key column packed as its dense
-codes; only keys that need more than 63 bits fall back to a lexsort.
-Scans use ``ufunc.accumulate``. Functions given to ``map`` are called
-once on whole arrays, so they must work elementwise (operators,
-indexing). A flatmap kernel carries its whole-column form as a
-``columns`` attribute: given the input columns, it returns the
-columns of all of its outputs at once.
+``take``). Functions given to ``map`` are called once on whole arrays,
+so they must work elementwise (operators, indexing). A flatmap kernel
+carries its whole-column form as a ``columns`` attribute: given the
+input columns, it returns the columns of all of its outputs at once.
+The other operations take what a run passes them and raise
+``TypeError`` for anything else, the sequential backend being the
+general form: ``concat`` takes the run's two tables, ``sort`` takes
+:class:`Records` or :class:`PointColumns`, and a min or max
+``segmented_scan`` takes integers.
 
 Full-length integer columns are int32 where their values are known to
 fit it, and int64 otherwise: the expansion's point indices, and its
@@ -164,7 +165,7 @@ def _weights(weights, n_queries: int, monoid):
     if monoid.ufunc == "add":
         if ints is None or monoid.unit != 0:
             return None
-        magnitude = sum(map(abs, ints.tolist()))
+        magnitude = sum(map(abs, weights))
         values = np.zeros(len(ints) + n_queries, dtype=_int_type(-magnitude, magnitude))
         values[: len(ints)] = ints
         return Column(values), magnitude
@@ -198,9 +199,9 @@ def _as_array(column, dtype):
         return None
     try:
         array = np.array(values, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):  # an int past int64 raises here
         return None
-    return array if array.tolist() == values else None
+    return array if dtype == np.int64 or array.tolist() == values else None
 
 
 def point_columns(data, queries, monoid, ranked: int) -> PointColumns | None:
@@ -343,12 +344,6 @@ def _sorted_records(columns: list[Column]) -> list[Column]:
     return [c[order] for c in columns]
 
 
-def _ufunc(monoid):
-    if monoid.ufunc is None:
-        raise TypeError(f"monoid {monoid.name!r} has no vector form")
-    return getattr(np, monoid.ufunc)
-
-
 class NumpyBackend:
     """Every operation is a handful of whole-array numpy calls."""
 
@@ -358,17 +353,12 @@ class NumpyBackend:
         self._input = (data, queries, points)
 
     def sort(self, x, key=None):
-        """Stable sort; :class:`Records` are ordered by their first column,
-        :class:`PointColumns` by the columns ``key`` returns."""
+        """Stable sort of :class:`Records` or :class:`PointColumns`."""
         if isinstance(x, Records):
             return Records(_sorted_records([_column(c) for c in x.columns]))
         if isinstance(x, PointColumns):
-            keys = key(x)
-            keys = list(keys) if isinstance(keys, tuple) else [keys]
-            return x[_order(keys, len(x))]
-        x = _column(x)
-        keys = [x.a if key is None else _array(key(x.a))]
-        return x[_order(keys, len(x))]
+            return x[_order(list(key(x)), len(x))]
+        raise TypeError(f"numpy sort takes Records or PointColumns, not {type(x).__name__}")
 
     def map(self, f, *xs):
         """``f`` applied once to the whole arrays; a result that is not a
@@ -395,11 +385,11 @@ class NumpyBackend:
         data, queries, points = self._input
         if x is data and y is queries:
             return points
-        return Column(np.concatenate((_array(x), _array(y))))
+        raise TypeError("numpy concat takes only the run's data and query tables")
 
     def scan(self, x, monoid):
         out = _widened(_array(x))
-        return Column(_ufunc(monoid).accumulate(out, out=out))
+        return Column(getattr(np, monoid.ufunc).accumulate(out, out=out))
 
     def segmented_scan(self, x, tags, monoid):
         """Inclusive scan restarted at every change of tag.
@@ -407,14 +397,14 @@ class NumpyBackend:
         A sum is one running total over the values, with each segment's
         first value lowered by the total of the segment before it
         (Blelloch, *Prefix Sums and Their Applications*). A min or max
-        scan works on integer codes offset per segment, so that no value
-        of an earlier segment can win in a later one.
+        scan takes integers (row indices, weight codes) offset per
+        segment, so that no value of an earlier segment wins a later one.
         """
         _check_lengths((x, tags))
         column = _column(x)
         a, t = column.a, _array(tags)
         n = len(a)
-        ufunc = _ufunc(monoid)
+        ufunc = getattr(np, monoid.ufunc)
         if n == 0:
             return column
         starts = np.empty(n, dtype=bool)
@@ -426,11 +416,9 @@ class NumpyBackend:
             out = _widened(a)
             np.subtract.at(out, first[1:], np.add.reduceat(out, first)[:-1])
             return Column(np.cumsum(out, out=out), column.decode)
-        values = None
-        if a.dtype.kind in "biu":
-            a = a.astype(np.int64)
-        else:
-            values, a = np.unique(a, return_inverse=True)
+        if a.dtype.kind not in "biu":
+            raise TypeError(f"numpy {monoid.name} scans take integer columns, not {a.dtype}")
+        a = a.astype(np.int64)
         low = int(a.min())
         a -= low
         # each row's segment number (0 for the first) times the span of the codes
@@ -445,7 +433,7 @@ class NumpyBackend:
         ufunc.accumulate(a, out=a)
         a -= offsets
         a += low
-        return Column(a if values is None else values[a], column.decode)
+        return Column(a, column.decode)
 
 
 def _widened(a):

@@ -26,11 +26,15 @@ vec = NumpyBackend()
 
 
 class Recording:
-    """Backend proxy keeping every primitive call's name and result."""
+    """Backend proxy keeping every primitive call's name and result in
+    ``calls``, and its arguments in ``args``; ``tables`` are the run's two
+    point tables as its backend was built for them."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, tables):
         self.inner = inner
+        self.tables = tables
         self.calls = []
+        self.args = []
 
     def __getattr__(self, name):
         attr = getattr(self.inner, name)
@@ -40,17 +44,20 @@ class Recording:
         def call(*args, **kwargs):
             out = attr(*args, **kwargs)
             self.calls.append((name, out))
+            self.args.append(args)
             return out
 
         return call
 
 
-def recorded_run(backend, data, queries, cfg):
-    recorders = []
+def recorded_run(backend, data, queries, cfg, recorders=None):
+    """``(results, stats, calls)`` of a run on ``backend``; ``recorders``,
+    when given, receives the run's :class:`Recording`."""
+    recorders = [] if recorders is None else recorders
 
     def make(*args, **kwargs):
         inner = SequentialBackend() if backend == "seq" else make_backend(*args, **kwargs)
-        recorders.append(Recording(inner))
+        recorders.append(Recording(inner, args[:2]))
         return recorders[-1]
 
     with backend_seam(make):
@@ -92,6 +99,20 @@ def comparable(out):
     return list(out)
 
 
+def assert_numpy_domain(recording):
+    """The numpy backend implements only the arguments a run passes: sort
+    gets Records or point columns, a min/max segmented scan integers, and
+    concat the run's two tables."""
+    assert recording.inner.name == "numpy"
+    for (op, _), args in zip(recording.calls, recording.args):
+        if op == "sort":
+            assert isinstance(args[0], (Records, PointColumns))
+        elif op == "segmented_scan" and args[2].ufunc != "add":
+            assert vector._array(args[0]).dtype.kind in "iu"
+        elif op == "concat":
+            assert args[0] is recording.tables[0] and args[1] is recording.tables[1]
+
+
 def edge_instances(rng):
     """Instances whose rank tables are unusual: in the first, every data
     point is below every query in dimension 1, so each rank there occurs
@@ -117,7 +138,9 @@ def test_numpy_matches_sequential_call_by_call(variant, name, tmp_path):
         data = [data_point(p.id, p.coords, rng.randint(-50, 50)) for p in data]
         cfg = PipelineConfig(dims=m, monoid=monoid, variant=variant)
         seq_results, seq_stats, seq_calls = recorded_run("seq", data, queries, cfg)
-        vec_results, vec_stats, vec_calls = recorded_run("numpy", data, queries, cfg)
+        recorders = []
+        vec_results, vec_stats, vec_calls = recorded_run("numpy", data, queries, cfg, recorders)
+        assert_numpy_domain(recorders[0])
         assert [(r.id, repr(r.value)) for r in vec_results] == [(r.id, repr(r.value)) for r in seq_results]
         assert [op for op, _ in vec_calls] == [op for op, _ in seq_calls]
         assert vec_stats.primitive_calls == seq_stats.primitive_calls
@@ -133,7 +156,10 @@ def test_numpy_matches_sequential_call_by_call(variant, name, tmp_path):
         write_instance(*paths, data, queries, m)
         tables = read_points(paths[0], queries=False), read_points(paths[1], queries=True)
         for backend, results, stats in (("seq", seq_results, seq_stats), ("numpy", vec_results, vec_stats)):
-            got, got_stats, _ = recorded_run(backend, *tables, cfg)
+            recorders = []
+            got, got_stats, _ = recorded_run(backend, *tables, cfg, recorders)
+            if backend == "numpy":
+                assert_numpy_domain(recorders[0])
             assert repr(got) == repr(results)
             assert got_stats.primitive_calls == stats.primitive_calls
             assert got_stats.elements_processed == stats.elements_processed
@@ -262,7 +288,6 @@ def test_numpy_sort_on_float_keys_is_the_sequential_stable_order():
     want = seq.sort(seq.zip(floats, range(300)))
     got = vec.sort(vec.zip(floats, range(300)))
     assert [tuple(map(repr, r)) for r in got] == [tuple(map(repr, r)) for r in want]
-    assert list(map(repr, vec.sort(floats))) == list(map(repr, seq.sort(floats)))
     # point columns sorted by a float key, then an int one: the improved tie order
     points = [query_point(i, (f,)) if i % 3 else data_point(i, (f,), 1) for i, f in enumerate(floats)]
     is_query = np.array([p.is_query for p in points])
@@ -425,13 +450,19 @@ def test_import_does_not_load_numpy():
 
 
 def test_numpy_primitives_follow_the_contract():
-    assert vec.sort([3, 1, 2]) == [1, 2, 3]
     rows = vec.zip([2, 1, 2, 1], [10, 13, 12, 11])
     assert vec.sort(rows) == [(1, 13), (1, 11), (2, 10), (2, 12)] == seq.sort(seq.zip(*rows.columns))
     floats = vec.zip([0.5, -1.0, 0.5], range(3))
     assert vec.sort(floats) == seq.sort(seq.zip([0.5, -1.0, 0.5], range(3)))
     assert vec.map(lambda a, b: a + b, [1, 2], [3, 4]) == [4, 6]
-    assert vec.concat([1], [2, 3]) == [1, 2, 3]
+    # concat takes only the run's two tables, and gives back their columns
+    data, queries = point_table([data_point(0, (1.0,), 2)], False, 1), point_table([], True, 1)
+    points = vector.point_columns(data, queries, SUM, 1)
+    backend = NumpyBackend(data, queries, points)
+    assert isinstance(points, PointColumns) and backend.concat(data, queries) is points
+    for x, y in (([1], [2, 3]), (queries, data), (data, point_table([], True, 1))):
+        with pytest.raises(TypeError):
+            backend.concat(x, y)
     assert vec.scan([1, 2, 3], SUM) == [1, 3, 6]
     with pytest.raises(ValueError, match="lengths"):
         vec.zip([1], [1, 2])
@@ -446,10 +477,12 @@ def test_numpy_segmented_scan_matches_sequential():
         tags = sorted(rng.randrange(6) for _ in range(n))
         ints = [rng.randint(-9, 9) for _ in range(n)]
         floats = [rng.choice((-2.5, 0.0, 1.0, math.inf)) for _ in range(n)]
-        for values, monoids in ((ints, (SUM, MIN, MAX)), (floats, (MIN, MAX))):
-            for monoid in monoids:
-                got = vec.segmented_scan(values, tags, monoid)
-                assert got == seq.segmented_scan(values, tags, monoid)
+        for monoid in (SUM, MIN, MAX):
+            assert vec.segmented_scan(ints, tags, monoid) == seq.segmented_scan(ints, tags, monoid)
+        # a run scans min/max weights as integer codes; a float column is refused, not truncated
+        for monoid in (MIN, MAX):
+            with pytest.raises(TypeError):
+                vec.segmented_scan(floats, tags, monoid)
 
 
 def test_numpy_flatmap_repeats_and_indexes():

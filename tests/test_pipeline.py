@@ -15,6 +15,7 @@ from domscan.pipeline import (
     InputError,
     PipelineConfig,
     Point,
+    PointTable,
     QueryResult,
     data_point,
     query_point,
@@ -238,6 +239,34 @@ def test_nan_weight_is_rejected(variant):
     for monoid in MONOIDS.values():
         with pytest.raises(InputError, match="point 7 has a NaN weight"):
             run(bad, queries, cfg(2, monoid, variant=variant))
+
+
+def test_sums_meeting_a_float_reject_integer_weights_past_float_range():
+    """Adding a float to an int past float range raises OverflowError, so
+    a library run rejects such weights as the CLI does."""
+    huge = 10**400
+    mixed = [data_point(0, (0.0,), huge), data_point(1, (0.0,), 1.5)]
+    query = [query_point(5, (1.0,))]
+    # under fsum the unit 0.0 meets the integer weight even without a float weight
+    for data, monoid in ((mixed, SUM), (mixed, FLOAT_SUM), (mixed[:1], FLOAT_SUM)):
+        with pytest.raises(InputError, match="point 0: integer weights too large to sum with float weights"):
+            run(data, query, cfg(1, monoid))
+    # integers alone sum exactly, and max only compares
+    assert results_dict(run(mixed[:1], query, cfg(1, SUM))[0]) == {5: huge}
+    assert results_dict(run(mixed, query, cfg(1, MAX))[0]) == {5: huge}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_ragged_point_table_is_rejected(backend):
+    query = [query_point(9, (0.9,))]
+    short_coords = PointTable([1, 2, 3], [[0.1, 0.2]], [5.0, 6.0, 7.0], False)
+    short_weights = PointTable([1, 2, 3], [[0.1, 0.2, 0.3]], [5, 6], False)
+    for table in (short_coords, short_weights):
+        for monoid in (FLOAT_SUM, SUM, MIN):
+            with pytest.raises(InputError, match="columns differ in length"):
+                run_on(backend, table, query, cfg(1, monoid))
+    with pytest.raises(InputError, match="columns differ in length"):
+        run_on(backend, [], PointTable([4, 5], [[0.1]], [None, None], True), cfg(1))
 
 
 def test_float_sum_matches_oracle_within_tolerance():
