@@ -29,13 +29,14 @@ from .datafiles import (
     read_lines,
     read_points,
     result_lines,
+    unit_weights,
     write_instance,
     write_results,
     writing,
 )
 from .monoids import FLOAT_SUM, MONOIDS
 from .oracle import brute_force
-from .pipeline import PipelineConfig, PointTable, point_table, run
+from .pipeline import PipelineConfig, PointTable, has_float, point_table, run
 
 # check_unique_ids is not called: the pipeline's own validation rejects
 # repeated ids. It stays reachable here because the benchmark's tracer
@@ -116,8 +117,8 @@ def _setup(args, data: PointTable, queries, dims: int):
     runs under the float monoid."""
     monoid = MONOIDS[args.monoid]
     if args.monoid == "count":
-        data = data.reweighted([1] * len(data))
-    elif args.monoid == "sum" and any(isinstance(w, float) for w in data.weights):
+        data = data.reweighted(unit_weights(data))
+    elif args.monoid == "sum" and has_float(data.weights):
         # Float addition depends on the order of the terms, so float weights
         # are summed under the float monoid, which compares within a tolerance.
         monoid = FLOAT_SUM

@@ -141,6 +141,21 @@ def _parse_arrays(rows: list[str], m: int, has_weight: bool, queries: bool) -> P
     return PointTable(Column(table["id"].copy()), [Column(c) for c in coords], weights, queries)
 
 
+def unit_weights(table: PointTable):
+    """Weight 1 for every point of ``table``, in the form its parse gave
+    it: an int64 :class:`~domscan.vector.Column` where numpy parsed the
+    table, whose dtype answers the run's checks, and a list otherwise."""
+    try:
+        import numpy as np
+
+        from .vector import Column
+    except ImportError:
+        return [1] * len(table)
+    if not isinstance(table.ids, Column):
+        return [1] * len(table)
+    return Column(np.ones(len(table), dtype=np.int64))
+
+
 def _parse_rows(rows: list[str], ncols: int, m: int, has_weight: bool, queries: bool) -> PointTable:
     """The rows as a table of ``m`` coordinate columns. A row with the
     wrong number of cells, a cell that does not parse, or a NaN
@@ -234,7 +249,7 @@ def result_lines(results) -> list[str]:
     """One ``id,value`` line per result of a run's
     :class:`~domscan.pipeline.QueryResults`, formatted column by column."""
     ids, values = results.columns
-    return list(map(",".join, zip(map(str, ids), format_column(values))))
+    return [f"{i},{v}" for i, v in zip(ids, format_column(values))]
 
 
 @contextmanager

@@ -55,7 +55,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, product, repeat, starmap
-from operator import add, attrgetter
+from operator import add, attrgetter, ne
 from typing import Any, NamedTuple
 
 from . import bits
@@ -246,16 +246,16 @@ class PipelineConfig:
 
 def _validate(data: PointTable, queries: PointTable) -> None:
     """Reject NaN coordinates, NaN weights and repeated ids. Each check
-    scans whole columns; only a failing one walks the points, to name
-    the first offending point."""
+    asks whole columns (:func:`_has_nan`, :func:`_repeats`); only a
+    failing one walks the points, to name the first offending point."""
     for table in (data, queries):
-        if any(any(map(math.isnan, column)) for column in table.coords):
+        if any(_has_nan(column, math.isnan) for column in table.coords):
             bad = next(p for p in table if any(map(math.isnan, p.coords)))
             raise InputError(f"point {bad.id} has a NaN coordinate")
-    if any(w != w for w in data.weights):
+    if _has_nan(data.weights):
         bad = next(p for p in data if p.weight != p.weight)
         raise InputError(f"point {bad.id} has a NaN weight")
-    if len(set(chain(data.ids, queries.ids))) != len(data) + len(queries):
+    if _repeats(data.ids, queries.ids):
         seen: set = set()
         for i in chain(data.ids, queries.ids):
             if i in seen:
@@ -263,14 +263,40 @@ def _validate(data: PointTable, queries: PointTable) -> None:
             seen.add(i)
 
 
+# A column of numpy's parse, a domscan.vector.Column, answers the questions
+# below for itself, from its dtype or with whole-array operations; any other
+# column is scanned here. Asking the column keeps numpy out of this module.
+
+
+def _has_nan(column, isnan=None) -> bool:
+    """Whether a value of ``column`` is NaN: ``isnan`` holds for it, or
+    without ``isnan``, it is not equal to itself."""
+    answer = getattr(column, "has_nan", None)
+    if answer is not None:
+        return answer()
+    return any(map(isnan, column)) if isnan else any(map(ne, column, column))
+
+
+def has_float(column) -> bool:
+    """Whether a value of ``column`` is a ``float``."""
+    answer = getattr(column, "has_float", None)
+    return answer() if answer is not None else any(map(isinstance, column, repeat(float)))
+
+
+def _repeats(ids, more_ids) -> bool:
+    """Whether an id occurs twice in the two columns together."""
+    answer = getattr(ids, "repeats", None)
+    if answer is not None:
+        return answer(more_ids)
+    return len(set(chain(ids, more_ids))) != len(ids) + len(more_ids)
+
+
 def _check_float_range(data: PointTable, monoid: Monoid) -> None:
     """Reject integer weights whose sum is past float range where an adding
     monoid meets a float weight or unit: adding a float to such an int
     raises. The absolute integer weights bound every sum a run or the
     reference forms."""
-    if monoid.combine is add and (
-        isinstance(monoid.unit, float) or any(map(isinstance, data.weights, repeat(float)))
-    ):
+    if monoid.combine is add and (isinstance(monoid.unit, float) or has_float(data.weights)):
         total = 0
         for point_id, weight in zip(data.ids, data.weights):
             total += abs(weight) if isinstance(weight, int) else 0

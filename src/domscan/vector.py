@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import chain
 
 import numpy as np
 
@@ -71,6 +72,10 @@ class Column:
     Min and max weights are stored as codes, the ranks of the distinct
     weights, so scans compare integers and every result decodes to one
     of the original weight objects.
+
+    A Column answers the run's input checks (a NaN, a float, a repeated
+    value) from its dtype or with whole-array operations, and reads its
+    values one by one only when it holds codes or objects.
     """
 
     __slots__ = ("a", "decode")
@@ -88,6 +93,40 @@ class Column:
     def __iter__(self):
         values = self.a.tolist()
         return iter(values) if self.decode is None else map(self.decode.__getitem__, values)
+
+    def _numeric(self) -> bool:
+        """Whether the array holds the values themselves, as numbers (not
+        codes, not objects), so that its dtype says what they are."""
+        return self.decode is None and self.a.dtype.kind in "biuf"
+
+    def has_nan(self) -> bool:
+        """Whether a value is NaN: one reduction over a float array, none
+        over an integer one."""
+        if self._numeric():
+            return self.a.dtype.kind == "f" and bool(np.isnan(self.a).any())
+        return any(v != v for v in self)
+
+    def has_float(self) -> bool:
+        """Whether a value is a ``float``, read from the dtype."""
+        if self._numeric():
+            return self.a.dtype.kind == "f" and len(self.a) > 0
+        return any(isinstance(v, float) for v in self)
+
+    def repeats(self, other) -> bool:
+        """Whether a value occurs twice in this column and ``other``
+        together. Two integer columns of one dtype answer with one sort
+        and one comparison of neighbours."""
+        if (
+            isinstance(other, Column)
+            and self._numeric()
+            and other._numeric()
+            and self.a.dtype == other.a.dtype
+            and self.a.dtype.kind in "biu"
+        ):
+            values = np.concatenate((self.a, other.a))
+            values.sort()
+            return bool((values[1:] == values[:-1]).any())
+        return len(set(chain(self, other))) != len(self) + len(other)
 
     def __getitem__(self, i):
         """The element at a scalar index as a Python value; the elements
@@ -160,28 +199,33 @@ def _weights(weights, n_queries: int, monoid):
     """``(column, magnitude)`` for the data weights followed by the unit
     in every query slot, or None when numpy cannot reproduce the
     sequential results exactly. Integer weights are converted as ids
-    are (:func:`_as_array`)."""
+    are (:func:`_as_array`), and then read as an array."""
     ints = _as_array(weights, np.int64)
+    peak = max(-int(ints.min()), int(ints.max())) if ints is not None and len(ints) else 0
     if monoid.ufunc == "add":
         if ints is None or monoid.unit != 0:
             return None
-        magnitude = sum(map(abs, weights))
+        # exact in int64 when no partial sum can pass it
+        magnitude = int(np.abs(ints).sum()) if peak * len(ints) < _INT64_LIMIT else sum(map(abs, ints.tolist()))
         values = np.zeros(len(ints) + n_queries, dtype=_int_type(-magnitude, magnitude))
         values[: len(ints)] = ints
         return Column(values), magnitude
-    objects = [*weights, monoid.unit]
     if ints is not None:
-        if len(ints) and max(-int(ints.min()), int(ints.max())) > 1 << 53:
+        if peak > 1 << 53:
             return None
         values = np.append(ints, monoid.unit)  # float64, exact for |w| <= 2**53
     else:
+        objects = [*weights, monoid.unit]
         if set(map(type, objects[:-1])) != {float}:
             return None
         values = np.array(objects)
         if np.any(np.isnan(values) | (np.signbit(values) & (values == 0))):
             return None
     distinct, first, codes = np.unique(values, return_index=True, return_inverse=True)
-    decode = [objects[i] for i in first.tolist()]
+    if ints is None:
+        decode = [objects[i] for i in first.tolist()]
+    else:  # each weight back as an int, the unit (after the weights) as itself
+        decode = [int(v) if i < len(ints) else monoid.unit for i, v in zip(first.tolist(), distinct.tolist())]
     column = np.concatenate((codes[:-1], np.full(n_queries, codes[-1])), dtype=_int_type(0, len(distinct)))
     return Column(column, decode), len(distinct)
 
@@ -299,21 +343,26 @@ def _row_index(n: int):
 
 
 def _order(keys, n: int):
-    """Stable sort order of rows under key columns, most significant first.
+    """Stable sort order of rows under key columns, most significant
+    first, or None when the rows are in that order already.
 
     The keys are packed with the row index into one int64 per row where
-    they fit, so every packed value is distinct and an unstable sort of
-    them gives the stable order; otherwise it is a lexsort. A float key
-    is packed as its dense codes, equal for equal values (``-0.0`` and
-    ``0.0`` included), so it keeps the order and the ties of the floats.
+    they fit, so every packed value is distinct: the rows are in order
+    when the packed values increase, and otherwise an unstable sort of
+    them gives the stable order. Keys that do not fit are lexsorted. A
+    float key is packed as its dense codes, equal for equal values
+    (``-0.0`` and ``0.0`` included), so it keeps the order and the ties
+    of the floats.
     """
     if n == 0:
-        return np.zeros(0, dtype=np.int64)
+        return None
     keys = [np.unique(k, return_inverse=True)[1] if k.dtype.kind == "f" else k for k in keys]
     got = _pack([*keys, _row_index(n)])
     if got is None:
         return np.lexsort(keys[::-1])
     packed, fields = got
+    if np.all(packed[1:] > packed[:-1]):
+        return None
     packed.sort()
     return _unpack(packed, fields[-1])
 
@@ -341,7 +390,7 @@ def _sorted_records(columns: list[Column]) -> list[Column]:
                 del fields[1]
             return [Column(_unpack(packed, f), c.decode) for f, c in zip(fields, columns)]
     order = _order([arrays[0]], n)
-    return [c[order] for c in columns]
+    return columns if order is None else [c[order] for c in columns]
 
 
 class NumpyBackend:
@@ -349,15 +398,17 @@ class NumpyBackend:
 
     name = "numpy"
 
-    def __init__(self, data=(), queries=(), points=None):
+    def __init__(self, data=None, queries=None, points=None):
         self._input = (data, queries, points)
 
     def sort(self, x, key=None):
-        """Stable sort of :class:`Records` or :class:`PointColumns`."""
+        """Stable sort of :class:`Records` or :class:`PointColumns`; point
+        columns already in order come back as they are, ungathered."""
         if isinstance(x, Records):
             return Records(_sorted_records([_column(c) for c in x.columns]))
         if isinstance(x, PointColumns):
-            return x[_order(list(key(x)), len(x))]
+            order = _order(list(key(x)), len(x))
+            return x if order is None else x[order]
         raise TypeError(f"numpy sort takes Records or PointColumns, not {type(x).__name__}")
 
     def map(self, f, *xs):
@@ -383,7 +434,7 @@ class NumpyBackend:
 
     def concat(self, x, y):
         data, queries, points = self._input
-        if x is data and y is queries:
+        if points is not None and x is data and y is queries:
             return points
         raise TypeError("numpy concat takes only the run's data and query tables")
 

@@ -14,10 +14,18 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from backends import backend_seam, run_on  # noqa: E402
-from domscan import brute_force, cli, vector  # noqa: E402
+from domscan import brute_force, cli, pipeline, vector  # noqa: E402
 from domscan.datafiles import generate_instance, read_points, write_instance  # noqa: E402
 from domscan.monoids import COUNT, FLOAT_SUM, MAX, MIN, MONOIDS, SUM  # noqa: E402
-from domscan.pipeline import InputError, PipelineConfig, data_point, point_table, query_point, run  # noqa: E402
+from domscan.pipeline import (  # noqa: E402
+    InputError,
+    PipelineConfig,
+    PointTable,
+    data_point,
+    point_table,
+    query_point,
+    run,
+)
 from domscan.primitives import CountingBackend, Records, SequentialBackend, make_backend  # noqa: E402
 from domscan.vector import Column, NumpyBackend, PointColumns, fits_int64  # noqa: E402
 
@@ -230,11 +238,11 @@ def test_tables_from_read_points_reach_numpy_without_the_list_conversion(tmp_pat
             results, stats = run(data, queries, cfg)
         assert stats.backend == "numpy"
         assert weights.call_args.args[0] is data.weights
-        # the weights convert by the ids' rule; count's unit weights, a list, replace
-        # the parsed int64 column and are the only column converted from Python values
+        # the weights convert by the ids' rule; count's unit weights replace the
+        # parsed ones with an int64 column too, so no column comes from Python values
         assert any(c is data.weights for c in seen)
-        assert isinstance(data.weights, Column) == (name != "count")
-        assert [c is data.weights for c in seen if not isinstance(c, Column)] == ([True] if name == "count" else [])
+        assert isinstance(data.weights, Column) and data.weights.a.dtype == np.int64
+        assert all(isinstance(c, Column) for c in seen)
         assert {r.id: r.value for r in results} == brute_force(data, queries, cfg.monoid)
 
 
@@ -247,6 +255,77 @@ def test_a_nan_weight_given_to_a_parsed_table_is_rejected(tmp_path, monoid):
     assert isinstance(data.ids, Column)
     with pytest.raises(InputError, match="^point 1 has a NaN weight$"):
         run(data.reweighted([math.nan, 4]), read_points(str(q), queries=True), PipelineConfig(1, monoid))
+
+
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+@pytest.mark.parametrize("name", ["count", "sum", "min"])
+def test_runs_on_parsed_files_read_no_column_value_by_value(tmp_path, monkeypatch, name, variant):
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    data, queries = generate_instance(80, 80, 2, seed=12, distribution="gridded")
+    write_instance(str(d), str(q), data, queries, 2)
+    args = cli.build_parser().parse_args(["run", str(d), str(q), "--monoid", name, "--variant", variant])
+
+    def no_iteration(self):
+        raise AssertionError("a parsed column was read value by value")
+
+    monkeypatch.setattr(Column, "__iter__", no_iteration)
+    data, queries, cfg = cli._load(args)
+    assert all(isinstance(c, Column) for t in (data, queries) for c in (t.ids, *t.coords))
+    assert isinstance(data.weights, Column)
+    results, stats = run(data, queries, cfg)
+    monkeypatch.undo()
+    assert stats.backend == "numpy"
+    assert {r.id: r.value for r in results} == brute_force(data, queries, cfg.monoid)
+
+
+def parsed_tables(tmp_path, data_rows, query_rows):
+    d, q = tmp_path / "d.csv", tmp_path / "q.csv"
+    d.write_text("id,x1,weight\n" + "".join(f"{i},{x},{w}\n" for i, x, w in data_rows))
+    q.write_text("id,x1\n" + "".join(f"{i},{x}\n" for i, x in query_rows))
+    tables = read_points(str(d), queries=False), read_points(str(q), queries=True)
+    assert all(isinstance(t.ids, Column) for t in tables)
+    return tables
+
+
+@pytest.mark.parametrize("monoid", [SUM, MIN])
+def test_parsed_tables_name_the_first_offender_as_lists_do(tmp_path, monoid):
+    cfg = PipelineConfig(1, monoid)
+    # an id shared by the data and the query file
+    data, queries = parsed_tables(tmp_path, [(1, 0.5, 3), (2, 0.7, 4)], [(5, 0.9), (2, 0.1)])
+    with pytest.raises(InputError, match="^duplicate point id 2$"):
+        run(data, queries, cfg)
+    # an id repeated in the data file: 7 repeats before the query's 5 does
+    data, queries = parsed_tables(tmp_path, [(5, 0.5, 3), (7, 0.7, 4), (9, 0.1, 1), (7, 0.2, 2)], [(5, 0.9)])
+    with pytest.raises(InputError, match="^duplicate point id 7$"):
+        run(data, queries, cfg)
+    lists = point_table(list(data), False, 1), point_table(list(queries), True, 1)
+    with pytest.raises(InputError, match="^duplicate point id 7$"):
+        run(*lists, cfg)
+    # NaN in a float column given to a parsed table
+    data, queries = parsed_tables(tmp_path, [(1, 0.5, 3), (2, 0.7, 4), (3, 0.2, 1)], [(5, 0.9)])
+    with pytest.raises(InputError, match="^point 2 has a NaN weight$"):
+        run(data.reweighted(Column(np.array([1.5, math.nan, math.nan]))), queries, cfg)
+    nan_coords = PointTable(data.ids, [Column(np.array([0.5, 0.1, math.nan]))], data.weights, False)
+    with pytest.raises(InputError, match="^point 3 has a NaN coordinate$"):
+        run(nan_coords, queries, cfg)
+
+
+def test_columns_answer_the_input_checks_from_their_arrays():
+    ints, floats = Column(np.array([3, 1, 2])), Column(np.array([0.5, math.nan]))
+    assert not ints.has_nan() and floats.has_nan() and not Column(np.array([0.5])).has_nan()
+    assert not ints.has_float() and floats.has_float() and not Column(np.zeros(0)).has_float()
+    assert not ints.repeats(Column(np.array([4, 5]))) and ints.repeats(Column(np.array([4, 2])))
+    assert Column(np.array([1, 1])).repeats(Column(np.zeros(0, dtype=np.int64)))
+    # other columns, and coded ones, are read value by value
+    assert ints.repeats([7, 3]) and not ints.repeats([7.5]) and ints.repeats(Column(np.array([2.0])))
+    coded = Column(np.array([0, 1]), decode=[math.nan, 2.5])
+    assert coded.has_nan() and coded.has_float() and not coded.repeats(ints)
+
+
+def test_int_sum_magnitude_is_exact_past_int64():
+    for weights, magnitude in (([2**62, 2**62], 2**63), ([-(2**63), 5], 2**63 + 5), ([-3, 4], 7), ([], 0)):
+        got = vector._weights(Column(np.array(weights, dtype=np.int64)), 2, SUM)
+        assert got[1] == magnitude and type(got[1]) is int
 
 
 @pytest.mark.parametrize("monoid", [COUNT, SUM, MIN, MAX])
@@ -468,6 +547,39 @@ def test_numpy_primitives_follow_the_contract():
         vec.zip([1], [1, 2])
     with pytest.raises(ValueError, match="lengths"):
         vec.segmented_scan([1, 2], [0], SUM)
+
+
+def test_numpy_backend_without_tables_concats_nothing():
+    # CPython shares the empty tuple, so () and () must not pass for the run's tables
+    for backend in (NumpyBackend(), vec):
+        for x, y in (((), ()), (None, None), ([], [])):
+            with pytest.raises(TypeError):
+                backend.concat(x, y)
+
+
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_numpy_sort_of_points_already_in_tie_order(variant):
+    rng = random.Random(variant)
+    data, queries = generate_instance(40, 40, 2, seed=13, distribution="gridded")
+    data = [data_point(p.id, p.coords, rng.randint(-5, 5)) for p in data]
+    tables = point_table(data, False, 2), point_table(queries, True, 2)
+    key = pipeline._tie_order(variant == "improved")
+    want = seq.sort(seq.concat(*tables), key=key)
+    rows = [(p.id, list(p.coords), 0 if p.is_query else p.weight, p.is_query) for p in want]
+
+    def rows_of(points):
+        return list(zip(points.id.tolist(), points.coords.T.tolist(), list(points.weight), points.is_query.tolist()))
+
+    position = {p.id: i for i, p in enumerate(seq.concat(*tables))}
+    order = [position[p.id] for p in want]
+    points = vector.point_columns(*tables, SUM, 2)
+    in_order = points[np.array(order)]
+    assert rows_of(in_order) == rows
+    # already in order: given back as it is, without a gather
+    assert vec.sort(in_order, key=key) is in_order
+    order[10], order[11] = order[11], order[10]
+    assert rows_of(vec.sort(points[np.array(order)], key=key)) == rows
+    assert rows_of(vec.sort(points, key=key)) == rows
 
 
 def test_numpy_segmented_scan_matches_sequential():
