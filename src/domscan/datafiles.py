@@ -13,7 +13,7 @@ import math
 import random
 import sys
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from itertools import repeat
 from typing import Any
 
@@ -222,26 +222,20 @@ def format_value(value: Any) -> str:
         if value == float("-inf"):
             return "-inf"
         return f"{value:.12g}"
-    with suppress(ValueError):  # raised by an int past the digit limit of str()
+    try:
         return str(value)
-    return str(decimal.Decimal(value))
+    except ValueError:  # an int past the digit limit of str()
+        return str(decimal.Decimal(value))
 
 
 def format_column(values) -> list[str]:
-    """:func:`format_value` of every value in a column of results.
-
-    An all-``int`` column goes through ``str`` in one pass. A numpy
-    column of min/max weights holds codes of its distinct weights
-    (``decode``), so each distinct weight is formatted once.
-    """
+    """:func:`format_value` of every value in a column of results. A
+    numpy column of min/max weights holds codes of its distinct weights
+    (``decode``), so each distinct weight is formatted once."""
     decode = getattr(values, "decode", None)
     if decode is not None:
-        texts = format_column(decode)
+        texts = list(map(format_value, decode))
         return list(map(texts.__getitem__, values.a.tolist()))
-    values = list(values)
-    if set(map(type, values)) <= {int}:
-        with suppress(ValueError):  # an int too long for str(): format_value prints it
-            return list(map(str, values))
     return list(map(format_value, values))
 
 

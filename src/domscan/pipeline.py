@@ -245,17 +245,19 @@ class PipelineConfig:
 
 
 def _validate(data: PointTable, queries: PointTable) -> None:
-    """Reject NaN coordinates, NaN weights and repeated ids. Each check
-    asks whole columns (:func:`_has_nan`, :func:`_repeats`); only a
-    failing one walks the points, to name the first offending point."""
+    """Reject NaN coordinates, NaN weights and repeated ids. NaN is the
+    value not equal to itself, for coordinates and weights alike. Each
+    check first asks the column (:func:`_asked`); only a failing check,
+    or one the column cannot answer, walks the values, naming the first
+    offending point."""
     for table in (data, queries):
-        if any(_has_nan(column, math.isnan) for column in table.coords):
-            bad = next(p for p in table if any(map(math.isnan, p.coords)))
+        if any(map(_has_nan, table.coords)):
+            bad = next(p for p in table if any(map(ne, p.coords, p.coords)))
             raise InputError(f"point {bad.id} has a NaN coordinate")
     if _has_nan(data.weights):
         bad = next(p for p in data if p.weight != p.weight)
         raise InputError(f"point {bad.id} has a NaN weight")
-    if _repeats(data.ids, queries.ids):
+    if _asked(data.ids, "repeats", queries.ids) is not False:
         seen: set = set()
         for i in chain(data.ids, queries.ids):
             if i in seen:
@@ -263,32 +265,26 @@ def _validate(data: PointTable, queries: PointTable) -> None:
             seen.add(i)
 
 
-# A column of numpy's parse, a domscan.vector.Column, answers the questions
-# below for itself, from its dtype or with whole-array operations; any other
-# column is scanned here. Asking the column keeps numpy out of this module.
+def _asked(column, question: str, *args):
+    """The column's own answer to ``question``, one of its methods, or
+    None. A column of numpy's parse, a ``domscan.vector.Column``, answers
+    from its dtype or with whole-array operations, or None when it holds
+    codes or objects; the caller then scans the values. Asking keeps
+    numpy out of this module."""
+    method = getattr(column, question, None)
+    return None if method is None else method(*args)
 
 
-def _has_nan(column, isnan=None) -> bool:
-    """Whether a value of ``column`` is NaN: ``isnan`` holds for it, or
-    without ``isnan``, it is not equal to itself."""
-    answer = getattr(column, "has_nan", None)
-    if answer is not None:
-        return answer()
-    return any(map(isnan, column)) if isnan else any(map(ne, column, column))
+def _has_nan(column) -> bool:
+    """Whether a value of ``column`` is NaN, that is, not equal to itself."""
+    answer = _asked(column, "has_nan")
+    return any(map(ne, column, column)) if answer is None else answer
 
 
 def has_float(column) -> bool:
     """Whether a value of ``column`` is a ``float``."""
-    answer = getattr(column, "has_float", None)
-    return answer() if answer is not None else any(map(isinstance, column, repeat(float)))
-
-
-def _repeats(ids, more_ids) -> bool:
-    """Whether an id occurs twice in the two columns together."""
-    answer = getattr(ids, "repeats", None)
-    if answer is not None:
-        return answer(more_ids)
-    return len(set(chain(ids, more_ids))) != len(ids) + len(more_ids)
+    answer = _asked(column, "has_float")
+    return any(map(isinstance, column, repeat(float))) if answer is None else answer
 
 
 def _check_float_range(data: PointTable, monoid: Monoid) -> None:

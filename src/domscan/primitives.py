@@ -70,8 +70,6 @@ class Records:
         except TypeError:
             return NotImplemented
 
-    __hash__ = None
-
     def __repr__(self):
         return f"Records({list(self)!r})"
 

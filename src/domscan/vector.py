@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import chain
 
 import numpy as np
 
@@ -74,8 +73,9 @@ class Column:
     of the original weight objects.
 
     A Column answers the run's input checks (a NaN, a float, a repeated
-    value) from its dtype or with whole-array operations, and reads its
-    values one by one only when it holds codes or objects.
+    value) from its dtype or with whole-array operations, and answers
+    None when it holds codes or objects; the pipeline then reads the
+    values (``pipeline._asked``).
     """
 
     __slots__ = ("a", "decode")
@@ -87,9 +87,6 @@ class Column:
     def __len__(self):
         return len(self.a)
 
-    def __bool__(self):
-        return len(self.a) > 0
-
     def __iter__(self):
         values = self.a.tolist()
         return iter(values) if self.decode is None else map(self.decode.__getitem__, values)
@@ -99,34 +96,35 @@ class Column:
         codes, not objects), so that its dtype says what they are."""
         return self.decode is None and self.a.dtype.kind in "biuf"
 
-    def has_nan(self) -> bool:
+    def has_nan(self) -> bool | None:
         """Whether a value is NaN: one reduction over a float array, none
-        over an integer one."""
-        if self._numeric():
-            return self.a.dtype.kind == "f" and bool(np.isnan(self.a).any())
-        return any(v != v for v in self)
+        over an integer one; None for codes and objects."""
+        if not self._numeric():
+            return None
+        return self.a.dtype.kind == "f" and bool(np.isnan(self.a).any())
 
-    def has_float(self) -> bool:
-        """Whether a value is a ``float``, read from the dtype."""
-        if self._numeric():
-            return self.a.dtype.kind == "f" and len(self.a) > 0
-        return any(isinstance(v, float) for v in self)
+    def has_float(self) -> bool | None:
+        """Whether a value is a ``float``, read from the dtype; None for
+        codes and objects."""
+        if not self._numeric():
+            return None
+        return self.a.dtype.kind == "f" and len(self.a) > 0
 
-    def repeats(self, other) -> bool:
+    def repeats(self, other) -> bool | None:
         """Whether a value occurs twice in this column and ``other``
-        together. Two integer columns of one dtype answer with one sort
-        and one comparison of neighbours."""
-        if (
+        together, answered with one sort and one comparison of
+        neighbours; None unless both are integer columns of one dtype."""
+        if not (
             isinstance(other, Column)
             and self._numeric()
             and other._numeric()
             and self.a.dtype == other.a.dtype
             and self.a.dtype.kind in "biu"
         ):
-            values = np.concatenate((self.a, other.a))
-            values.sort()
-            return bool((values[1:] == values[:-1]).any())
-        return len(set(chain(self, other))) != len(self) + len(other)
+            return None
+        values = np.concatenate((self.a, other.a))
+        values.sort()
+        return bool((values[1:] == values[:-1]).any())
 
     def __getitem__(self, i):
         """The element at a scalar index as a Python value; the elements
@@ -142,8 +140,6 @@ class Column:
             return list(self) == list(other)
         except TypeError:
             return NotImplemented
-
-    __hash__ = None
 
     def __repr__(self):
         return f"Column({list(self)!r})"
@@ -203,10 +199,11 @@ def _weights(weights, n_queries: int, monoid):
     ints = _as_array(weights, np.int64)
     peak = max(-int(ints.min()), int(ints.max())) if ints is not None and len(ints) else 0
     if monoid.ufunc == "add":
-        if ints is None or monoid.unit != 0:
+        # fits_int64 refuses such a run anyway: n_points >= len(ints),
+        # prod(widths) >= 1 and magnitude >= peak
+        if ints is None or monoid.unit != 0 or peak * len(ints) >= _INT64_LIMIT:
             return None
-        # exact in int64 when no partial sum can pass it
-        magnitude = int(np.abs(ints).sum()) if peak * len(ints) < _INT64_LIMIT else sum(map(abs, ints.tolist()))
+        magnitude = int(np.abs(ints).sum())
         values = np.zeros(len(ints) + n_queries, dtype=_int_type(-magnitude, magnitude))
         values[: len(ints)] = ints
         return Column(values), magnitude
@@ -292,8 +289,8 @@ def _pack(columns):
     """``(packed, fields)``: integer columns packed into one int64 per row,
     the first column in the highest bits, so that packed values order
     as the rows do lexicographically; ``fields`` holds what
-    :func:`_unpack` needs to read each column back. None when a column
-    is not integer or the columns need more than 63 bits.
+    :func:`_unpack` needs to read each column back. None when the
+    columns need more than 63 bits.
 
     The packed values are built in place, one column at a time: shift
     left by the column's width, add the column (widened to int64 as it
@@ -303,8 +300,6 @@ def _pack(columns):
     bounds = []
     total = 0
     for c in columns:
-        if c.dtype.kind not in "biu":
-            return None
         low, high = int(c.min()), int(c.max())
         width = (high - low).bit_length()
         if low >= 0 and high.bit_length() == width:

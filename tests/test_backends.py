@@ -5,6 +5,7 @@ Every test here needs numpy; without it the module is skipped.
 
 import math
 import random
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -316,16 +317,46 @@ def test_columns_answer_the_input_checks_from_their_arrays():
     assert not ints.has_float() and floats.has_float() and not Column(np.zeros(0)).has_float()
     assert not ints.repeats(Column(np.array([4, 5]))) and ints.repeats(Column(np.array([4, 2])))
     assert Column(np.array([1, 1])).repeats(Column(np.zeros(0, dtype=np.int64)))
-    # other columns, and coded ones, are read value by value
-    assert ints.repeats([7, 3]) and not ints.repeats([7.5]) and ints.repeats(Column(np.array([2.0])))
+    # a coded column has no answer of its own; the pipeline scans its values
     coded = Column(np.array([0, 1]), decode=[math.nan, 2.5])
-    assert coded.has_nan() and coded.has_float() and not coded.repeats(ints)
+    assert coded.has_nan() is None and coded.has_float() is None and coded.repeats(ints) is None
+    assert pipeline._has_nan(coded) and pipeline.has_float(coded)
+    assert not pipeline._has_nan(Column(np.array([1, 0]), decode=[0.5, 2.5]))
+    # nor do ids beside anything but an integer Column of their dtype; the
+    # pipeline's walk then names the first repeated id, or finds none
+    data = PointTable(ints, [Column(np.zeros(3))], [1, 1, 1], False)
+    others = (([7, 3], 3), ([7.5], None), (Column(np.array([2.0])), "2.0"), (Column(np.array([1], np.int32)), 1))
+    for other, repeated in others:
+        assert ints.repeats(other) is None
+        queries = PointTable(other, [[0.5] * len(other)], [None] * len(other), True)
+        if repeated is None:
+            pipeline._validate(data, queries)
+        else:
+            with pytest.raises(InputError, match=f"^duplicate point id {re.escape(str(repeated))}$"):
+                pipeline._validate(data, queries)
 
 
-def test_int_sum_magnitude_is_exact_past_int64():
-    for weights, magnitude in (([2**62, 2**62], 2**63), ([-(2**63), 5], 2**63 + 5), ([-3, 4], 7), ([], 0)):
+def test_int_sum_weights_past_the_int64_bound_run_on_seq():
+    # peak·len(weights) >= 2**63: fits_int64 would refuse the run, so _weights does
+    query = [query_point(9, (1.0,))]
+    for weights in ([2**62, 2**62], [2**62, 1], [-(2**63), 5]):
+        column = Column(np.array(weights, dtype=np.int64))
+        assert vector._weights(column, 1, SUM) is None
+        data = PointTable([0, 1], [[0.1, 0.2]], column, False)
+        results, stats = run(data, query, PipelineConfig(1, SUM))
+        assert stats.backend == "seq"
+        assert repr({r.id: r.value for r in results}) == repr(brute_force(data, query, SUM))
+    for weights, magnitude in (([-3, 4], 7), ([], 0)):
         got = vector._weights(Column(np.array(weights, dtype=np.int64)), 2, SUM)
         assert got[1] == magnitude and type(got[1]) is int
+
+
+def test_empty_columns_and_records_are_falsy_and_unhashable():
+    for empty in (Column(np.zeros(0)), Records(([], [])), pipeline.QueryResults([], [])):
+        assert not empty
+        with pytest.raises(TypeError):
+            hash(empty)
+    assert Column(np.array([0])) and Records(([1], [2])) and pipeline.QueryResults([1], [2])
 
 
 @pytest.mark.parametrize("monoid", [COUNT, SUM, MIN, MAX])

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,21 @@ def test_run_reproduces_golden_output(tmp_path):
 def test_run_to_stdout(capsys):
     assert main(["run", *FIXTURE]) == EXIT_OK
     assert capsys.readouterr().out == EXPECTED.decode()
+
+
+def test_run_and_verify_without_numpy(tmp_path):
+    # the Python parser, the sequential backend and the one formatting path, end to end
+    out = tmp_path / "out.csv"
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from domscan.cli import main\n"
+        f"assert main(['run', *{FIXTURE!r}, '--output', {str(out)!r}]) == 0\n"
+        f"sys.exit(main(['verify', *{FIXTURE!r}, '--expected', {str(DATA_DIR / 'dom2d_expected.csv')!r}]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "verified 3 queries" in done.stdout
+    assert out.read_bytes() == EXPECTED
 
 
 @pytest.mark.parametrize("variant", ["basic", "improved"])

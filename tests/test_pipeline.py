@@ -18,6 +18,7 @@ from domscan.pipeline import (
     PointTable,
     QueryResult,
     data_point,
+    point_table,
     query_point,
     run,
 )
@@ -233,6 +234,18 @@ def test_nan_coordinate_is_rejected(variant):
 
 
 @pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_integer_coordinates_past_float_range_answer_as_the_oracle(variant):
+    # 10**400 is not NaN (it equals itself) and has no float64 form, so the run
+    # goes to seq, as a 2**53 + 1 coordinate does
+    data = [data_point(0, (10**400, 0.5), 3), data_point(1, (1, 0.1), 4)]
+    queries = [query_point(9, (10**401, 1.0))]
+    for monoid, want in ((SUM, 7), (MIN, 3)):
+        results, stats = run(data, queries, cfg(2, monoid, variant=variant))
+        assert stats.backend == "seq"
+        assert results_dict(results) == brute_force(data, queries, monoid) == {9: want}
+
+
+@pytest.mark.parametrize("variant", ["basic", "improved"])
 def test_nan_weight_is_rejected(variant):
     data, queries = fixture_2d()
     bad = data + [data_point(7, (0.5, 0.5), float("nan"))]
@@ -351,6 +364,19 @@ def test_validation_errors():
         run([query_point(0, (1, 1))], [], cfg(2))
     with pytest.raises(ValueError, match="data point"):
         run([], [data_point(0, (1, 1))], cfg(2))
+
+
+def test_a_point_table_of_the_wrong_role_or_dimension_is_rejected():
+    data = PointTable([1, 2], [[0.1, 0.2], [0.3, 0.4]], [5, 6], False)
+    queries = PointTable([3], [[0.5], [0.6]], [None], True)
+    with pytest.raises(InputError, match="^data point 1 passed in the query sequence$"):
+        point_table(data, True, 2)
+    with pytest.raises(InputError, match="^query point 3 passed in the data sequence$"):
+        point_table(queries, False, 2)
+    with pytest.raises(InputError, match="^point 1 has 2 coordinates, expected 3$"):
+        point_table(data, False, 3)
+    with pytest.raises(InputError, match="^data point 1 passed in the query sequence$"):
+        run([], data, cfg(2))
 
 
 def test_stats_shape_and_call_counts():
