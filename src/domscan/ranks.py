@@ -1,9 +1,14 @@
-"""Rank-space transform: real coordinates to dense 1-based ranks to bits.
+"""Rank-space transform: real coordinates to compressed 1-based ranks to bits.
 
-Ranks preserve every strict inequality and every tie of the original
-coordinates, so aggregations over dominated points are unchanged by the
-transform. Each dimension gets its own fixed width, just large enough
-for the number of distinct values in that dimension. The pipeline
+A run only ever compares a data point with a query, so a rank needs to
+separate data from queries and nothing more. Per dimension, the points
+are ordered by coordinate with queries first on ties, and a new rank
+opens only where a query directly follows a data point. Then for every
+data point x and query y, ``x < y`` exactly when ``r(x) < r(y)``; on a
+tie ``r(x) >= r(y)``, so equal coordinates still dominate nothing, and
+aggregations over dominated points are unchanged by the transform. A
+dimension has at most ``1 + min(n_data, n_queries)`` ranks, and gets its
+own fixed width, just large enough for their number. The pipeline
 encodes ranks as integer prefix codes (``bits.prefix_codes``);
 :func:`binarize` gives their bitstring form.
 """
@@ -14,57 +19,73 @@ from .bits import bin_fixed
 from .monoids import MIN, SUM
 
 
-def width_for(unique: int) -> int:
-    """Bits needed for 0-based ranks over ``unique`` distinct values."""
-    return max(1, (unique - 1).bit_length())
+def width_for(count: int) -> int:
+    """Bits needed for ``count`` ranks, numbered from 0."""
+    return max(1, (count - 1).bit_length())
 
 
-def _opens_rank(start, position):
-    # 1 where a run of equal values starts. Only elementwise operators,
-    # so it also reads whole columns.
-    return (start == position) * 1
+def _is_data(p):
+    return p.is_query == 0
 
 
-def rank_dimension(dq, dim: int, backend):
-    """Dense 1-based ranks of each point's ``dim`` coordinate.
+def _opens_rank(start, position, is_data):
+    # 1 where a run of queries starts after a data point, and on the
+    # first row. Only elementwise operators, so it also reads whole columns.
+    return (start == position) * ((is_data == 0) | (position == 0))
 
-    Returns ``(ranks, unique)`` where ``ranks`` is aligned with ``dq``
-    and ``unique`` is the number of distinct coordinate values. Equal
-    coordinates receive equal ranks.
 
-    Built from sequence primitives only: pair each coordinate with its
-    original position, sort, flag each row that starts a run of equal
-    values (a min-scan of the row indices segmented by the coordinates
-    gives every row its run's first row), prefix-sum the flags, then sort
-    the ranks back into the original order. The flag sum never
-    decreases, so its last element is ``unique``.
+def role_order(dq, backend):
+    """``Records`` of ``(is_data, index)``: every point's index in ``dq``,
+    queries first and each role in ``dq``'s order, with its role. One
+    stable sort, shared by every :func:`rank_dimension` call of a run."""
+    b = backend
+    return b.sort(b.zip(b.map(_is_data, dq), range(len(dq))))
+
+
+def rank_dimension(dq, dim: int, by_role, backend):
+    """Compressed 1-based ranks of each point's ``dim`` coordinate.
+
+    Returns ``(ranks, count)`` where ``ranks`` is aligned with ``dq``
+    and ``count`` is the number of ranks; ``by_role`` is
+    :func:`role_order` of ``dq``.
+
+    Built from sequence primitives only: gather the coordinates in role
+    order and sort them, with each row's index and role, stably by
+    coordinate, so that ties come out queries first. A min-scan of the
+    row indices segmented by the sorted roles gives every row the first
+    row of its run of one role; a rank opens at the first row and where
+    a run of queries starts. Prefix-sum those flags, then sort the ranks
+    back into the original order. The flag sum never decreases, so its
+    last element is ``count``.
     """
     if not dq:
         raise ValueError("rank_dimension: empty input")
     b = backend
     n = len(dq)
+    roles, order = by_role.columns
     coords = b.map(lambda p: p.coords[dim], dq)
-    scoords, positions = b.sort(b.zip(coords, range(n))).columns
-    start = b.segmented_scan(range(n), scoords, MIN)
-    flags = b.map(_opens_rank, start, range(n))
+    ordered = b.map(coords.__getitem__, order)
+    _, positions, sorted_roles = b.sort(b.zip(ordered, order, roles)).columns
+    start = b.segmented_scan(range(n), sorted_roles, MIN)
+    flags = b.map(_opens_rank, start, range(n), sorted_roles)
     sorted_ranks = b.scan(flags, SUM)
-    unique = sorted_ranks[-1]
+    count = sorted_ranks[-1]
     restored = b.sort(b.zip(positions, sorted_ranks))
-    return restored.columns[1], unique
+    return restored.columns[1], count
 
 
-def binarize(ranks, unique: int, backend) -> list[str]:
-    """Fixed-width bitstrings for 1-based ranks out of ``unique`` values.
+def binarize(ranks, count: int, backend) -> list[str]:
+    """Fixed-width bitstrings for 1-based ranks out of ``count``.
 
-    Rank r is encoded 0-based as ``bin_fixed(r - 1, width_for(unique))``
+    Rank r is encoded 0-based as ``bin_fixed(r - 1, width_for(count))``
     so the lexicographic order of the strings matches the numeric order
     of the ranks.
     """
-    width = width_for(unique)
+    width = width_for(count)
 
     def encode(r):
-        if not 1 <= r <= unique:
-            raise ValueError(f"rank {r} outside 1..{unique}")
+        if not 1 <= r <= count:
+            raise ValueError(f"rank {r} outside 1..{count}")
         return bin_fixed(r - 1, width)
 
     return backend.map(encode, ranks)

@@ -245,6 +245,22 @@ def _as_array(column, dtype):
     return array if dtype == np.int64 or array.tolist() == values else None
 
 
+def rank_count(data, queries) -> int:
+    """The number of ranks ``ranks.rank_dimension`` gives a dimension whose
+    data and query coordinates are the arrays ``data`` and ``queries``.
+
+    A rank opens at the first point and at each run of queries that
+    follows a data point, in coordinate order with queries first on
+    ties. Two queries are in one run exactly when equally many data
+    points lie strictly below each, and a run follows a data point when
+    that number is positive: so the count is one plus the number of
+    distinct positive numbers of data points strictly below a query.
+    Equal queries have equal numbers, so only the distinct query values
+    are searched for."""
+    below = np.searchsorted(np.sort(data), np.unique(queries))
+    return 1 + int(np.count_nonzero(np.diff(below, prepend=0)))
+
+
 def point_columns(data, queries, monoid, ranked: int) -> PointColumns | None:
     """The input (two :class:`~domscan.pipeline.PointTable`) as columns,
     or None when numpy cannot reproduce the sequential backend's results
@@ -255,16 +271,16 @@ def point_columns(data, queries, monoid, ranked: int) -> PointColumns | None:
     coords = [_as_array(column, np.float64) for table in tables for column in table.coords]
     if any(a is None for a in (*ids, *coords)):
         return None
-    m = data.dims
-    ids = np.concatenate(ids)
-    coords = np.stack([np.concatenate(coords[d::m]) for d in range(m)])
     weighted = _weights(data.weights, len(queries), monoid)
     if weighted is None:
         return None
     weight, magnitude = weighted
-    widths = [width_for(len(np.unique(coords[d]))) for d in range(ranked)]
+    m = data.dims
+    widths = [width_for(rank_count(coords[d], coords[m + d])) for d in range(ranked)]
     if not fits_int64(widths, n, magnitude):
         return None
+    ids = np.concatenate(ids)
+    coords = np.stack([np.concatenate(coords[d::m]) for d in range(m)])
     is_query = np.zeros(n, dtype=bool)
     is_query[len(data) :] = True
     return PointColumns(ids, coords, weight, is_query)
@@ -371,10 +387,15 @@ def _sorted_records(columns: list[Column]) -> list[Column]:
     the other columns ride in the low bits and come back out of the
     sorted values without a gather. When the second and last column is
     sorted already, equal keys keep their rows in its order, so it takes
-    the place of the row index.
+    the place of the row index. A boolean key needs no sort: the rows
+    whose key is False, then the others, is the stable order.
     """
     arrays = [c.a for c in columns]
     n = len(arrays[0])
+    if arrays[0].dtype == bool:
+        key = arrays[0]
+        order = np.concatenate((np.flatnonzero(~key), np.flatnonzero(key)), dtype=_int_type(0, n - 1))
+        return [c[order] for c in columns]
     if n > 1 and all(a.dtype.kind in "biu" for a in arrays):
         indexed = not (len(arrays) == 2 and np.all(arrays[1][1:] >= arrays[1][:-1]))
         got = _pack([arrays[0], _row_index(n), *arrays[1:]] if indexed else arrays)

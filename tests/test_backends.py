@@ -406,6 +406,16 @@ def test_numpy_sort_on_float_keys_is_the_sequential_stable_order():
     assert vec.sort(columns, key=key).id.tolist() == [p.id for p in seq.sort(points, key=key)]
 
 
+def test_numpy_sort_on_a_boolean_key_is_the_sequential_stable_order():
+    rng = random.Random(7)
+    flags = [rng.random() < 0.3 for _ in range(300)]
+    payload = [rng.randrange(1000) for _ in range(300)]
+    want = seq.sort(seq.zip(flags, range(300), payload))
+    got = vec.sort(vec.zip(np.array(flags), range(300), payload))
+    assert list(got) == list(want)
+    assert got.columns[0].a.dtype == bool
+
+
 def test_min_max_results_are_the_original_weight_objects():
     data = [data_point(0, (1.0, 1.0), 7), data_point(1, (2.0, 2.0), 3), data_point(2, (0.0, 5.0), 9)]
     queries = [query_point(5, (3.0, 3.0)), query_point(6, (0.5, 0.5)), query_point(7, (1.5, 9.0))]
@@ -457,6 +467,21 @@ def test_int_sum_weight_bound():
     assert backend_for(data, queries, SUM) == "seq"
     res, stats = run_on("numpy", data, queries, PipelineConfig(2, SUM))
     assert stats.backend == "seq" and res[0].value == -(2**62)
+
+
+def test_sum_weight_bound_reads_the_runs_rank_count():
+    # 2,000 data points and 2 queries: 2,002 distinct values a dimension
+    # would need widths 11 and n * 11 * 11 * sum(|w|) passes 2**63, but the
+    # run has 3 ranks a dimension, widths 2 and n * 2 * 2 * sum(|w|) < 2**63
+    data = [data_point(i, (i / 2000, i / 2000), 2**38) for i in range(2000)]
+    queries = [query_point(2000, (0.5, 0.5)), query_point(2001, (2.0, 2.0))]
+    assert not fits_int64([11, 11], 2002, 2000 * 2**38)
+    assert backend_for(data, queries, SUM) == "numpy"
+    cfg = PipelineConfig(2, SUM)
+    got, stats = run_on("numpy", data, queries, cfg)
+    assert stats.backend == "numpy" and stats.widths == (2, 2)
+    assert repr(got) == repr(run_on("seq", data, queries, cfg)[0])
+    assert [r.value for r in got] == [1000 * 2**38, 2000 * 2**38]
 
 
 def test_coordinate_must_round_trip_through_float64():
@@ -523,20 +548,24 @@ def test_min_max_integer_weights_run_on_numpy_within_2_to_the_53(tmp_path, weigh
 @pytest.mark.parametrize("variant", ["basic", "improved"])
 def test_regroup_scan_widens_partials_the_regroup_sort_narrowed(variant):
     # Sum(|w|) passes 2**31, so the weights are int64; the regroup sort reads
-    # the partials back at the width of their range, int32 here in the basic variant
-    weights = [490713357, 265597842, 936461578, 142349003, 936466064, -40659754, -177086146]
-    xs = [0.5, 0.5, 0.0, 0.25, 0.0, 0.0, 0.0]
-    data = [data_point(i, (x,), w) for i, (x, w) in enumerate(zip(xs, weights))]
-    queries = [query_point(10 + i, (x,)) for i, x in enumerate((0.0, 0.75, 0.5))]
+    # the partials back at the width of their range, int32 here in the basic
+    # variant. Data and queries alternate, so the last query has rank 4 of 4,
+    # bits 11: its fold is two partials, 2.1e9 and 1.2e9, each below 2**31,
+    # whose total is not.
+    weights = [1_000_000_000, 1_100_000_000, 1_200_000_000]
+    data = [data_point(i, (x,), w) for i, (x, w) in enumerate(zip((0.0, 0.2, 0.4), weights))]
+    queries = [query_point(10 + i, (x,)) for i, x in enumerate((0.1, 0.3, 0.5))]
     cfg = PipelineConfig(1, SUM, variant)
     want, _, _ = recorded_run("seq", data, queries, cfg)
     got, _, calls = recorded_run("numpy", data, queries, cfg)
-    assert [r.value for r in want] == [0, 2553841944, 1797530745]
+    assert [r.value for r in want] == [1_000_000_000, 2_100_000_000, 3_300_000_000]
     assert repr(got) == repr(want)
     regroup_sort = calls[-4]
     assert regroup_sort[0] == "sort"
     if variant == "basic":
-        assert regroup_sort[1].columns[1].a.dtype == np.int32
+        partials = regroup_sort[1].columns[1].a
+        assert partials.dtype == np.int32
+        assert partials.max() < 2**31 < partials.sum()
 
 
 def test_non_integer_ids_fall_back():
@@ -683,7 +712,10 @@ def test_pack_widens_int32_columns_before_offset_and_shift():
 
 @pytest.mark.parametrize("dims, narrow_key", [(3, True), (4, False)])
 def test_expanded_columns_are_int32_where_keys_fit_31_bits(dims, narrow_key):
-    data, queries = generate_instance(40, 40, dims, seed=2)
+    # ranks separate only data from queries, about n/4 of them per dimension
+    # here, so d=4 needs 150 points a role for widths of 7 and 32 key bits
+    n = 150 if dims == 4 else 40
+    data, queries = generate_instance(n, n, dims, seed=2)
     cfg = PipelineConfig(dims=dims, monoid=SUM, variant="basic")
     seq_results, _, _ = recorded_run("seq", data, queries, cfg)
     results, stats, calls = recorded_run("numpy", data, queries, cfg)
