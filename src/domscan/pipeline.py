@@ -7,8 +7,8 @@ coordinate. A run is a fixed-length chain of primitive calls:
 1. Concatenate data and queries into one sequence and sort it into the
    tie order: the order records with equal expanded keys must keep.
 2. Per ranked dimension: move coordinates to rank space (``ranks``),
-   ranks that separate data from queries and nothing more. One sort
-   into role order (queries first) serves every dimension.
+   ranks that separate data from queries and nothing more, sorting by
+   ``(coordinate, is_data)`` so that ties come out queries first.
 3. Expand every point into the product of its per-coordinate prefix
    code lists (``bits``): data points over zero-prefixes, queries over
    one-prefixes. A data point and a query produce the same expanded key
@@ -66,17 +66,17 @@ from .primitives import CountingBackend, Records, make_backend
 # binarize, the bitstring form of the ranks, is not part of the chain,
 # which works on integer prefix codes; it stays reachable here because
 # the benchmark's tracer wraps pipeline.binarize (perfbench/tracing.py).
-from .ranks import binarize, rank_dimension, role_order, width_for  # noqa: F401
+from .ranks import binarize, is_data, rank_dimension, width_for  # noqa: F401
 
 # Primitive invocations per run are a function of the dimension count
-# only: 9 per ranked dimension plus 15 fixed calls. The documented
+# only: 8 per ranked dimension plus 13 fixed calls. The documented
 # budget is the 6m+9 instruction outline plus the allowance below,
 # which covers what that outline leaves implicit (realignment of ranks
-# to input order, the tie-order sort, the role-order sort and the
-# per-dimension gather of coordinates into it that let ranks separate
-# only data from queries, the weight gather after the key sort, and
-# selecting and ordering each query's total) for dimensions up to four.
-PLUMBING_CALLS = 18
+# to input order, the tie-order sort, the map of role flags that lets
+# ranks separate only data from queries, the weight gather after the
+# key sort, and selecting and ordering each query's total) for
+# dimensions up to four.
+PLUMBING_CALLS = 12
 
 
 class InputError(ValueError):
@@ -352,14 +352,13 @@ def run(data, queries, cfg: PipelineConfig):
         return QueryResults([], []), stats(0, 0, ())
     dq = b.sort(dq, key=_tie_order(improved))
 
-    by_role = role_order(dq, b)
+    data_flags = b.map(is_data, dq)
     ranks = []
     widths = []
     for dim in range(ranked):
-        dim_ranks, count = rank_dimension(dq, dim, by_role, b)
+        dim_ranks, count = rank_dimension(dq, dim, data_flags, b)
         ranks.append(dim_ranks)
         widths.append(width_for(count))
-    del by_role
     mark("rank")
 
     n = len(dq)

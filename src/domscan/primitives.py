@@ -20,8 +20,8 @@ the zip-then-map (and zip-then-flatmap) combination.
 
 Multi-field records are :class:`Records`: parallel columns that read
 as a sequence of row tuples. ``zip`` builds them, ``sort`` orders them
-by their first field, and a ``flatmap`` function may return them to
-emit several columns at once.
+by a key of their rows, or by their first field, and a ``flatmap``
+function may return them to emit several columns at once.
 
 :func:`make_backend` picks, per run, between :class:`SequentialBackend`
 and the numpy backend of :mod:`domscan.vector`, which keeps the same
@@ -49,8 +49,8 @@ class Records:
 
     ``len()`` is the row count and iteration yields row tuples, so
     records compare equal to the list of their rows. Sorting orders the
-    rows stably by the first column, the key; the other columns ride
-    along and are never compared.
+    rows stably by a key of the row, or by the first column; the other
+    columns ride along and are never compared.
     """
 
     __slots__ = ("columns",)
@@ -81,11 +81,17 @@ class SequentialBackend:
 
     def sort(self, x, key=None):
         """Sorted copy of ``x``, nondecreasing under ``key`` (or the
-        elements' natural order). :class:`Records` are ordered stably by
-        their first column."""
+        elements' natural order). :class:`Records` sort stably, by ``key``
+        of their rows or by their first column:
+
+        >>> rows = Records([[2.0, 1.0, 2.0, 1.0], [True, True, False, True], "abcd"])
+        >>> list(SequentialBackend().sort(rows, key=itemgetter(0, 1)))
+        [(1.0, True, 'b'), (1.0, True, 'd'), (2.0, False, 'c'), (2.0, True, 'a')]
+        """
         if not isinstance(x, Records):
             return sorted(x, key=key)
-        order = sorted(range(len(x)), key=x.columns[0].__getitem__)
+        keys = x.columns[0] if key is None else list(map(key, x))
+        order = sorted(range(len(x)), key=keys.__getitem__)
         return Records([list(map(c.__getitem__, order)) for c in x.columns])
 
     def map(self, f, *xs):

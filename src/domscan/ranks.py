@@ -15,6 +15,8 @@ encodes ranks as integer prefix codes (``bits.prefix_codes``);
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .bits import bin_fixed
 from .monoids import MIN, SUM
 
@@ -24,7 +26,8 @@ def width_for(count: int) -> int:
     return max(1, (count - 1).bit_length())
 
 
-def _is_data(p):
+def is_data(p):
+    """Whether ``p`` is a data point; reads point columns too."""
     return p.is_query == 0
 
 
@@ -34,38 +37,29 @@ def _opens_rank(start, position, is_data):
     return (start == position) * ((is_data == 0) | (position == 0))
 
 
-def role_order(dq, backend):
-    """``Records`` of ``(is_data, index)``: every point's index in ``dq``,
-    queries first and each role in ``dq``'s order, with its role. One
-    stable sort, shared by every :func:`rank_dimension` call of a run."""
-    b = backend
-    return b.sort(b.zip(b.map(_is_data, dq), range(len(dq))))
-
-
-def rank_dimension(dq, dim: int, by_role, backend):
+def rank_dimension(dq, dim: int, data_flags, backend):
     """Compressed 1-based ranks of each point's ``dim`` coordinate.
 
     Returns ``(ranks, count)`` where ``ranks`` is aligned with ``dq``
-    and ``count`` is the number of ranks; ``by_role`` is
-    :func:`role_order` of ``dq``.
+    and ``count`` is the number of ranks; ``data_flags`` is the map of
+    :func:`is_data` over ``dq``, which every dimension of a run shares.
 
-    Built from sequence primitives only: gather the coordinates in role
-    order and sort them, with each row's index and role, stably by
-    coordinate, so that ties come out queries first. A min-scan of the
-    row indices segmented by the sorted roles gives every row the first
-    row of its run of one role; a rank opens at the first row and where
-    a run of queries starts. Prefix-sum those flags, then sort the ranks
-    back into the original order. The flag sum never decreases, so its
-    last element is ``count``.
+    Built from sequence primitives only: sort the rows ``(coordinate,
+    is_data, index)`` stably by ``(coordinate, is_data)``, so that ties
+    come out queries first. A min-scan of the row indices segmented by
+    the sorted flags gives every row the first row of its run of one
+    role; a rank opens at the first row and where a run of queries
+    starts. Prefix-sum those flags, then sort the ranks back into the
+    original order. The flag sum never decreases, so its last element
+    is ``count``.
     """
     if not dq:
         raise ValueError("rank_dimension: empty input")
     b = backend
     n = len(dq)
-    roles, order = by_role.columns
     coords = b.map(lambda p: p.coords[dim], dq)
-    ordered = b.map(coords.__getitem__, order)
-    _, positions, sorted_roles = b.sort(b.zip(ordered, order, roles)).columns
+    rows = b.sort(b.zip(coords, data_flags, range(n)), key=itemgetter(0, 1))
+    _, sorted_roles, positions = rows.columns
     start = b.segmented_scan(range(n), sorted_roles, MIN)
     flags = b.map(_opens_rank, start, range(n), sorted_roles)
     sorted_ranks = b.scan(flags, SUM)

@@ -29,15 +29,15 @@ minimum and maximum to find a weight past ``2**53``.
 Sequences are :class:`Column` objects: 1-D arrays that read like Python
 sequences (``len``, truth, iteration and a scalar index give Python
 values; an index array gives a :class:`Column`, gathered with
-``take``). Functions given to ``map`` are called once on whole arrays,
-so they must work elementwise (operators, indexing). A flatmap kernel
-carries its whole-column form as a ``columns`` attribute: given the
-input columns, it returns the columns of all of its outputs at once.
-The other operations take what a run passes them and raise
-``TypeError`` for anything else, the sequential backend being the
-general form: ``concat`` takes the run's two tables, ``sort`` takes
-:class:`Records` or :class:`PointColumns`, and a min or max
-``segmented_scan`` takes integers.
+``take``). Functions given to ``map``, and sort keys, are called once
+on whole arrays, so they must work elementwise (operators, indexing).
+A flatmap kernel carries its whole-column form as a ``columns``
+attribute: given the input columns, it returns the columns of all of
+its outputs at once. The other operations take what a run passes them
+and raise ``TypeError`` for anything else, the sequential backend
+being the general form: ``concat`` takes the run's two tables,
+``sort`` takes :class:`Records` or :class:`PointColumns`, and a min or
+max ``segmented_scan`` takes integers.
 
 Full-length integer columns are int32 where their values are known to
 fit it, and int64 otherwise: the expansion's point indices, and its
@@ -387,15 +387,10 @@ def _sorted_records(columns: list[Column]) -> list[Column]:
     the other columns ride in the low bits and come back out of the
     sorted values without a gather. When the second and last column is
     sorted already, equal keys keep their rows in its order, so it takes
-    the place of the row index. A boolean key needs no sort: the rows
-    whose key is False, then the others, is the stable order.
+    the place of the row index.
     """
     arrays = [c.a for c in columns]
     n = len(arrays[0])
-    if arrays[0].dtype == bool:
-        key = arrays[0]
-        order = np.concatenate((np.flatnonzero(~key), np.flatnonzero(key)), dtype=_int_type(0, n - 1))
-        return [c[order] for c in columns]
     if n > 1 and all(a.dtype.kind in "biu" for a in arrays):
         indexed = not (len(arrays) == 2 and np.all(arrays[1][1:] >= arrays[1][:-1]))
         got = _pack([arrays[0], _row_index(n), *arrays[1:]] if indexed else arrays)
@@ -418,10 +413,15 @@ class NumpyBackend:
         self._input = (data, queries, points)
 
     def sort(self, x, key=None):
-        """Stable sort of :class:`Records` or :class:`PointColumns`; point
-        columns already in order come back as they are, ungathered."""
+        """Stable sort of :class:`Records` (by ``key`` of their column
+        arrays, or by their first column) or :class:`PointColumns`; rows
+        already in order come back as they are, ungathered."""
         if isinstance(x, Records):
-            return Records(_sorted_records([_column(c) for c in x.columns]))
+            columns = [_column(c) for c in x.columns]
+            if key is None:
+                return Records(_sorted_records(columns))
+            order = _order(list(key(tuple(c.a for c in columns))), len(x))
+            return Records(columns if order is None else [c[order] for c in columns])
         if isinstance(x, PointColumns):
             order = _order(list(key(x)), len(x))
             return x if order is None else x[order]

@@ -166,8 +166,8 @@ def test_operation_count_depends_only_on_dimension(capsys):
             failures.append((m, variant, backend, "count varies with n", small, large))
         if large != counts[(2**12, m, variant, "seq")]:
             failures.append((m, variant, backend, "count differs from seq", large))
-        if large != 9 * ranked + 15:
-            failures.append((m, variant, backend, "count is not 9r+15", large))
+        if large != 8 * ranked + 13:
+            failures.append((m, variant, backend, "count is not 8r+13", large))
         if large > 6 * m + 9 + PLUMBING_CALLS:
             failures.append((m, variant, backend, "over budget", large))
     _report(capsys, "operation count is a function of dimension", failures, time.time() - t0)

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -36,14 +37,16 @@ vec = NumpyBackend()
 
 class Recording:
     """Backend proxy keeping every primitive call's name and result in
-    ``calls``, and its arguments in ``args``; ``tables`` are the run's two
-    point tables as its backend was built for them."""
+    ``calls``, its arguments in ``args`` and its keyword arguments in
+    ``kwargs``; ``tables`` are the run's two point tables as its backend
+    was built for them."""
 
     def __init__(self, inner, tables):
         self.inner = inner
         self.tables = tables
         self.calls = []
         self.args = []
+        self.kwargs = []
 
     def __getattr__(self, name):
         attr = getattr(self.inner, name)
@@ -54,6 +57,7 @@ class Recording:
             out = attr(*args, **kwargs)
             self.calls.append((name, out))
             self.args.append(args)
+            self.kwargs.append(kwargs)
             return out
 
         return call
@@ -110,12 +114,15 @@ def comparable(out):
 
 def assert_numpy_domain(recording):
     """The numpy backend implements only the arguments a run passes: sort
-    gets Records or point columns, a min/max segmented scan integers, and
-    concat the run's two tables."""
+    gets Records or point columns, and unkeyed Records only of integer
+    columns; a min/max segmented scan gets integers, and concat the
+    run's two tables."""
     assert recording.inner.name == "numpy"
-    for (op, _), args in zip(recording.calls, recording.args):
+    for (op, _), args, kwargs in zip(recording.calls, recording.args, recording.kwargs):
         if op == "sort":
             assert isinstance(args[0], (Records, PointColumns))
+            if isinstance(args[0], Records) and kwargs.get("key") is None:
+                assert all(vector._array(c).dtype.kind in "iu" for c in args[0].columns)
         elif op == "segmented_scan" and args[2].ufunc != "add":
             assert vector._array(args[0]).dtype.kind in "iu"
         elif op == "concat":
@@ -398,22 +405,18 @@ def test_numpy_sort_on_float_keys_is_the_sequential_stable_order():
     want = seq.sort(seq.zip(floats, range(300)))
     got = vec.sort(vec.zip(floats, range(300)))
     assert [tuple(map(repr, r)) for r in got] == [tuple(map(repr, r)) for r in want]
+    # records of (float, bool, index) sorted by a key of the first two
+    # fields: the ranking sort, queries (False) first on ties
+    flags = [rng.random() < 0.5 for _ in range(300)]
+    want = seq.sort(seq.zip(floats, flags, range(300)), key=itemgetter(0, 1))
+    got = vec.sort(vec.zip(floats, np.array(flags), range(300)), key=itemgetter(0, 1))
+    assert [tuple(map(repr, r)) for r in got] == [tuple(map(repr, r)) for r in want]
     # point columns sorted by a float key, then an int one: the improved tie order
     points = [query_point(i, (f,)) if i % 3 else data_point(i, (f,), 1) for i, f in enumerate(floats)]
     is_query = np.array([p.is_query for p in points])
     columns = PointColumns(np.arange(300), np.array([floats]), Column(np.zeros(300, dtype=np.int64)), is_query)
     key = lambda p: (p.coords[-1], 1 - p.is_query, p.id)  # noqa: E731
     assert vec.sort(columns, key=key).id.tolist() == [p.id for p in seq.sort(points, key=key)]
-
-
-def test_numpy_sort_on_a_boolean_key_is_the_sequential_stable_order():
-    rng = random.Random(7)
-    flags = [rng.random() < 0.3 for _ in range(300)]
-    payload = [rng.randrange(1000) for _ in range(300)]
-    want = seq.sort(seq.zip(flags, range(300), payload))
-    got = vec.sort(vec.zip(np.array(flags), range(300), payload))
-    assert list(got) == list(want)
-    assert got.columns[0].a.dtype == bool
 
 
 def test_min_max_results_are_the_original_weight_objects():

@@ -386,13 +386,13 @@ def test_stats_shape_and_call_counts():
     assert len(stats.widths) == 2
     assert stats.expanded_count > 0
     assert stats.elements_processed > stats.expanded_count
-    assert stats.primitive_calls == 9 * 2 + 15
+    assert stats.primitive_calls == 8 * 2 + 13
     _, stats_improved = run(data, queries, cfg(2, variant="improved"))
-    assert stats_improved.primitive_calls == 9 * 1 + 15
+    assert stats_improved.primitive_calls == 8 * 1 + 13
     assert len(stats_improved.widths) == 1
     for m in (1, 2, 3, 4):
-        assert 9 * m + 15 <= 6 * m + 9 + PLUMBING_CALLS
-    assert 9 * 4 + 15 > 6 * 4 + 9 + (PLUMBING_CALLS - 1)  # the least allowance that fits
+        assert 8 * m + 13 <= 6 * m + 9 + PLUMBING_CALLS
+    assert 8 * 4 + 13 > 6 * 4 + 9 + (PLUMBING_CALLS - 1)  # the least allowance that fits
 
 
 def test_results_are_ascending_by_query_id():
@@ -501,5 +501,5 @@ def test_no_data_and_queries_at_the_lowest_coordinate(variant, backend):
         for name, monoid in MONOIDS.items():
             res, stats = run_on(backend, [], queries, cfg(m, monoid, variant=variant))
             assert [(r.id, repr(r.value)) for r in res] == [(i, repr(monoid.unit)) for i in range(3)], name
-            assert stats.primitive_calls == 9 * ranked + 15
+            assert stats.primitive_calls == 8 * ranked + 13
             assert stats.regrouped_count == 0

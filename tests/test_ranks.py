@@ -11,7 +11,7 @@ from domscan.monoids import COUNT, SUM
 from domscan.oracle import brute_force, brute_force_ranks
 from domscan.pipeline import PipelineConfig, data_point, point_table, query_point
 from domscan.primitives import SequentialBackend, make_backend
-from domscan.ranks import binarize, rank_dimension, role_order, width_for
+from domscan.ranks import binarize, is_data, rank_dimension, width_for
 
 b = SequentialBackend()
 inf = math.inf
@@ -26,7 +26,7 @@ def ranked(data, queries, backend):
     on = b if backend == "seq" else make_backend(data_points, query_points, COUNT, 1)
     assert on.name == backend
     dq = on.concat(data_points, query_points)
-    ranks, count = rank_dimension(dq, 0, role_order(dq, on), on)
+    ranks, count = rank_dimension(dq, 0, on.map(is_data, dq), on)
     ranks = list(ranks)
     return ranks[: len(data)], ranks[len(data) :], count
 
@@ -74,7 +74,7 @@ def test_rank_dimension_infinite_values():
 
 def test_rank_dimension_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
-        rank_dimension([], 0, role_order([], b), b)
+        rank_dimension([], 0, [], b)
 
 
 def test_width_for():
